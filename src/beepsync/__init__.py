@@ -35,7 +35,6 @@ from .fast_protocol import (
     config_bit_width,
     decode_config,
     encode_config,
-    reachable_configs,
     step,
     will_beep,
 )

@@ -55,9 +55,6 @@ class CheckpointSet:
         """True when the clock sits one step past some checkpoint (mod period)."""
         return (clock - 1) % self.period in self._member_set
 
-    def succ(self, clock: int) -> int:
-        return succ(clock, self)
-
 
 def compute_checkpoints(period: int, spacing: int = 4) -> CheckpointSet:
     """Builds the checkpoint set: multiples of ``spacing`` c with period - c > spacing - 1.
@@ -156,9 +153,4 @@ def sync_round_budget(node_count: int, period: int, spacing: int) -> int:
     _validate_parameters(period, spacing)
     if node_count < 1:
         raise ValueError(f"node_count must be >= 1, got {node_count}")
-    steps = node_count - 1
-    return (
-        spacing * steps
-        + (steps // (period // spacing)) * (period % spacing)
-        + spacing
-    )
+    return fast_runtime_bound(node_count - 1, period, spacing) + spacing

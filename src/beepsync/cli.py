@@ -19,9 +19,8 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
-from .checkpoints import compute_checkpoints, fast_runtime_bound, sync_round_budget
+from .checkpoints import compute_checkpoints, sync_round_budget
 from .engine import (
     ActivationSchedule,
     check_invariants,
@@ -51,133 +50,6 @@ EXIT_INVARIANT = 3
 EXIT_BOUND = 4
 
 ENV_PREFIX = "BEEPSYNC_"
-
-
-@dataclass
-class ExperimentSpec:
-    """Resolved inputs of one simulation run (fast, selfstab, or slots)."""
-
-    mode: str
-    topology: Topology
-    period: int
-    spacing: int
-    node_bound: int | None = None
-    schedule: ActivationSchedule | None = None
-    initial: list | None = None
-    horizon: int | None = None
-    offsets: list[float] | None = None
-    slot_duration: float = 1.0
-    time_horizon: float | None = None
-    out: str | None = None
-    out_format: str = "csv"
-
-
-def run(spec: ExperimentSpec) -> tuple[dict, int]:
-    """Executes one experiment; returns (summary record, exit code).
-
-    Writes the trace to spec.out when set. The summary always pairs the
-    measured value with the theoretical bound it is checked against.
-    """
-    if spec.mode == "fast":
-        return _run_fast_spec(spec)
-    if spec.mode == "selfstab":
-        return _run_selfstab_spec(spec)
-    if spec.mode == "slots":
-        return _run_slots_spec(spec)
-    raise ValueError(f"unknown mode {spec.mode!r}")
-
-
-def _run_fast_spec(spec: ExperimentSpec) -> tuple[dict, int]:
-    if spec.schedule is None:
-        raise ValueError("fast mode needs a schedule")
-    result, trace = run_fast(
-        spec.topology, spec.schedule, spec.period,
-        spacing=spec.spacing, horizon=spec.horizon,
-    )
-    violations = check_invariants(
-        trace, compute_checkpoints(spec.period, spec.spacing)
-    )
-    if spec.out:
-        _write_trace(trace, spec.out, spec.out_format)
-    satisfied = result.sync_round is not None and result.sync_round <= result.bound
-    summary = {
-        "mode": "fast",
-        "nodes": spec.topology.node_count,
-        "diameter": spec.topology.diameter,
-        "T": spec.period,
-        "q": spec.spacing,
-        "horizon": result.horizon,
-        "sync_round": result.sync_round,
-        "bound": result.bound,
-        "bound_satisfied": satisfied,
-        "closure_verified": result.closure_verified,
-        "invariant_violations": len(violations),
-    }
-    if violations:
-        return summary, EXIT_INVARIANT
-    if not satisfied:
-        return summary, EXIT_BOUND
-    return summary, EXIT_OK
-
-
-def _run_selfstab_spec(spec: ExperimentSpec) -> tuple[dict, int]:
-    if spec.initial is None:
-        raise ValueError("selfstab mode needs initial configs")
-    node_bound = (
-        spec.node_bound if spec.node_bound is not None else spec.topology.node_count
-    )
-    budget = sync_round_budget(node_bound, spec.period, spec.spacing)
-    result, trace = run_selfstab(
-        spec.topology, spec.initial, spec.period, spacing=spec.spacing,
-        node_bound=node_bound, horizon=spec.horizon,
-    )
-    violations = check_stab_invariants(trace, budget)
-    if spec.out:
-        _write_trace(trace, spec.out, spec.out_format)
-    summary = {
-        "mode": "selfstab",
-        "nodes": spec.topology.node_count,
-        "T": spec.period,
-        "q": spec.spacing,
-        "N": node_bound,
-        "budget": budget,
-        "horizon": result.horizon,
-        "legitimate_round": result.legitimate_round,
-        "legit_streak": result.legit_streak,
-        "closure_verified": result.closure_verified,
-        "all_lock_round": result.all_lock_round,
-        "entered_pulse": result.entered_pulse,
-        "pulse_seen": result.pulse_seen,
-        "invariant_violations": len(violations),
-    }
-    if violations:
-        return summary, EXIT_INVARIANT
-    if result.legitimate_round is None:
-        return summary, EXIT_BOUND
-    return summary, EXIT_OK
-
-
-def _run_slots_spec(spec: ExperimentSpec) -> tuple[dict, int]:
-    if spec.schedule is None:
-        raise ValueError("slot mode needs a schedule")
-    result, records = run_slots(
-        spec.topology, spec.offsets, spec.schedule, spec.period,
-        spacing=spec.spacing, slot_duration=spec.slot_duration,
-        time_horizon=spec.time_horizon,
-    )
-    if spec.out:
-        write_slot_csv(records, spec.out)
-    summary = {
-        "mode": "slots",
-        "nodes": spec.topology.node_count,
-        "T": spec.period,
-        "q": spec.spacing,
-        "slot_duration": spec.slot_duration,
-        "sync_time": result.sync_time,
-        "slots_run": result.rounds_run,
-        "records": len(records),
-    }
-    return summary, (EXIT_OK if result.sync_time is not None else EXIT_BOUND)
 
 
 def _apply_env_defaults(parser: argparse.ArgumentParser) -> None:
@@ -249,15 +121,31 @@ def _cmd_run_fast(args: argparse.Namespace) -> int:
         )
     else:
         raise ValueError("either --wake or --seed must be given")
-    summary, code = run(
-        ExperimentSpec(
-            mode="fast", topology=topology, period=args.T, spacing=args.q,
-            schedule=schedule, horizon=args.horizon,
-            out=args.out, out_format=args.format,
-        )
+    result, trace = run_fast(
+        topology, schedule, args.T, spacing=args.q, horizon=args.horizon
     )
-    _emit(summary)
-    return code
+    violations = check_invariants(trace, compute_checkpoints(args.T, args.q))
+    if args.out:
+        _write_trace(trace, args.out, args.format)
+    satisfied = result.sync_round is not None and result.sync_round <= result.bound
+    _emit(
+        {
+            "mode": "fast",
+            "nodes": topology.node_count,
+            "diameter": topology.diameter,
+            "T": args.T,
+            "q": args.q,
+            "horizon": result.horizon,
+            "sync_round": result.sync_round,
+            "bound": result.bound,
+            "bound_satisfied": satisfied,
+            "closure_verified": result.closure_verified,
+            "invariant_violations": len(violations),
+        }
+    )
+    if violations:
+        return EXIT_INVARIANT
+    return EXIT_OK if satisfied else EXIT_BOUND
 
 
 def _cmd_run_selfstab(args: argparse.Namespace) -> int:
@@ -272,15 +160,34 @@ def _cmd_run_selfstab(args: argparse.Namespace) -> int:
         )
     else:
         raise ValueError("either --init-file or --seed must be given")
-    summary, code = run(
-        ExperimentSpec(
-            mode="selfstab", topology=topology, period=args.T, spacing=args.q,
-            node_bound=node_bound, initial=initial, horizon=args.horizon,
-            out=args.out, out_format=args.format,
-        )
+    result, trace = run_selfstab(
+        topology, initial, args.T, spacing=args.q,
+        node_bound=node_bound, horizon=args.horizon,
     )
-    _emit(summary)
-    return code
+    violations = check_stab_invariants(trace, budget)
+    if args.out:
+        _write_trace(trace, args.out, args.format)
+    _emit(
+        {
+            "mode": "selfstab",
+            "nodes": topology.node_count,
+            "T": args.T,
+            "q": args.q,
+            "N": node_bound,
+            "budget": budget,
+            "horizon": result.horizon,
+            "legitimate_round": result.legitimate_round,
+            "legit_streak": result.legit_streak,
+            "closure_verified": result.closure_verified,
+            "all_lock_round": result.all_lock_round,
+            "entered_pulse": result.entered_pulse,
+            "pulse_seen": result.pulse_seen,
+            "invariant_violations": len(violations),
+        }
+    )
+    if violations:
+        return EXIT_INVARIANT
+    return EXIT_OK if result.legitimate_round is not None else EXIT_BOUND
 
 
 def _cmd_run_slots(args: argparse.Namespace) -> int:
@@ -291,16 +198,26 @@ def _cmd_run_slots(args: argparse.Namespace) -> int:
     offsets = None
     if args.offsets:
         offsets = [float(part) for part in args.offsets.split(",")]
-    summary, code = run(
-        ExperimentSpec(
-            mode="slots", topology=topology, period=args.T, spacing=args.q,
-            schedule=ActivationSchedule(wakes), offsets=offsets,
-            slot_duration=args.slot_duration, time_horizon=args.time_horizon,
-            out=args.out, out_format=args.format,
-        )
+    result, records = run_slots(
+        topology, offsets, ActivationSchedule(wakes), args.T,
+        spacing=args.q, slot_duration=args.slot_duration,
+        time_horizon=args.time_horizon,
     )
-    _emit(summary)
-    return code
+    if args.out:
+        write_slot_csv(records, args.out)
+    _emit(
+        {
+            "mode": "slots",
+            "nodes": topology.node_count,
+            "T": args.T,
+            "q": args.q,
+            "slot_duration": args.slot_duration,
+            "sync_time": result.sync_time,
+            "slots_run": result.rounds_run,
+            "records": len(records),
+        }
+    )
+    return EXIT_OK if result.sync_time is not None else EXIT_BOUND
 
 
 def _cmd_analyze_fsm(args: argparse.Namespace) -> int:

@@ -45,6 +45,7 @@ from .selfstab import (
     StabState,
     SuperState,
     consistency_check,
+    max_round_counter,
     stab_step,
     super_state,
     validate_config,
@@ -675,7 +676,7 @@ def check_stab_invariants(trace: StabTrace, budget: int) -> list[Violation]:
     n = trace.topology.node_count
     rounds = trace.round_count()
     neighbors = trace.topology.neighbors
-    saturation = max(4 * trace.node_bound, budget + 1)
+    saturation = max_round_counter(trace.node_bound, budget)
     cps = compute_checkpoints(trace.period, trace.spacing)
 
     post_states = [

@@ -152,29 +152,3 @@ def decode_config(value: int, period: int) -> FastNodeConfig:
         raise ValueError(f"value {value} does not decode to a config for period {period}")
     return FastNodeConfig(clock, _CODE_STATES[state_code], induced)
 
-
-def reachable_configs(checkpoints: CheckpointSet) -> list[FastNodeConfig]:
-    """All configs reachable from inactive under beeps, silence, and wakes.
-
-    Returned in deterministic breadth-first order starting at the inactive
-    config.
-    """
-    inputs = (
-        RoundInput(heard_beep=False),
-        RoundInput(heard_beep=True),
-        RoundInput(heard_beep=False, adversary_wakes=True),
-    )
-    seen = {INACTIVE_CONFIG}
-    order = [INACTIVE_CONFIG]
-    frontier = [INACTIVE_CONFIG]
-    while frontier:
-        next_frontier = []
-        for config in frontier:
-            for inp in inputs:
-                succ = step(config, inp, checkpoints)
-                if succ not in seen:
-                    seen.add(succ)
-                    order.append(succ)
-                    next_frontier.append(succ)
-        frontier = next_frontier
-    return order

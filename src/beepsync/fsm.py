@@ -21,9 +21,9 @@ reachable cycle shows synchronized pulsing.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 from .fast_protocol import INACTIVE_CONFIG, RoundInput, step, will_beep
 from .checkpoints import compute_checkpoints, sync_round_budget
@@ -106,17 +106,20 @@ def find_silence_cycle(automaton: ProtocolAutomaton, start: int = 0) -> tuple[in
     return _eventual_cycle(automaton.silence_next, start)
 
 
+def _spaced_by(marks: list[int], length: int, period: int) -> bool:
+    """True when the sorted marks lie exactly ``period`` apart around a cycle of ``length`` steps."""
+    return (
+        bool(marks)
+        and length % period == 0
+        and marks == list(range(marks[0] % period, length, period))
+    )
+
+
 def _pulses_every(automaton: ProtocolAutomaton, cycle: tuple[int, ...], period: int) -> bool:
     """True when beeps around the cycle occur exactly every ``period`` steps."""
     core = cycle[:-1]
     marks = [i for i, s in enumerate(core) if automaton.beeps[s]]
-    if not marks or len(core) % period != 0:
-        return False
-    if len(marks) != len(core) // period:
-        return False
-    gaps = [marks[j + 1] - marks[j] for j in range(len(marks) - 1)]
-    gaps.append(marks[0] + len(core) - marks[-1])
-    return all(g == period for g in gaps)
+    return _spaced_by(marks, len(core), period)
 
 
 def classify(
@@ -212,13 +215,7 @@ def _cycle_synchronized(
             return False
         if row[0]:
             beep_marks.append(i)
-    if not beep_marks or len(cycle) % period != 0:
-        return False
-    if len(beep_marks) != len(cycle) // period:
-        return False
-    gaps = [beep_marks[j + 1] - beep_marks[j] for j in range(len(beep_marks) - 1)]
-    gaps.append(beep_marks[0] + len(cycle) - beep_marks[-1])
-    return all(g == period for g in gaps)
+    return _spaced_by(beep_marks, len(cycle), period)
 
 
 def certify_no_sync(
@@ -273,19 +270,40 @@ def runtime_lower_bound_demo(automaton: ProtocolAutomaton, period: int) -> float
         silence_core[anchor],
         silence_core[(anchor + 1) % len(silence_core)],
     )
-    seen = set()
-    t = 0
-    while pair not in seen:
-        seen.add(pair)
-        a, b = pair
-        pair = (
-            automaton.transition(a, automaton.beeps[b]),
-            automaton.transition(b, automaton.beeps[a]),
-        )
-        t += 1
-        if pair[0] == pair[1]:
-            return t
-    return float("inf")
+    seq, cycle_start = _global_run(automaton, generate("line", 2), pair)
+    # step once more into the cycle: a pair can merge on its first repeat
+    seq.append(seq[cycle_start])
+    return next((t for t in range(1, len(seq)) if seq[t][0] == seq[t][1]), float("inf"))
+
+
+def _explore(
+    start: object,
+    advance: Callable[[object, bool], object],
+    beeps_of: Callable[[object], bool],
+) -> ProtocolAutomaton:
+    """Breadth-first closure of ``start`` under ``advance(config, heard)``.
+
+    Both successors of a config are recorded when it is expanded, so each
+    (config, input) pair is stepped once. State ids follow discovery order.
+    """
+    index = {start: 0}
+    order = [start]
+    beep_next: list[int] = []
+    silence_next: list[int] = []
+    for cfg in order:
+        for heard, targets in ((False, silence_next), (True, beep_next)):
+            nxt = advance(cfg, heard)
+            if nxt not in index:
+                index[nxt] = len(order)
+                order.append(nxt)
+            targets.append(index[nxt])
+    return ProtocolAutomaton(
+        beep_next=tuple(beep_next),
+        silence_next=tuple(silence_next),
+        beeps=tuple(beeps_of(cfg) for cfg in order),
+        clock_of=tuple(cfg.clock for cfg in order),
+        labels=tuple(order),
+    )
 
 
 def extract_fast_automaton(
@@ -293,27 +311,14 @@ def extract_fast_automaton(
 ) -> ProtocolAutomaton:
     """Enumerates the fast protocol's reachable configs as an automaton.
 
-    State 0 is the inactive config; hearing a beep while inactive activates,
-    so the adversary is not needed as a separate input.
+    State 0 is the inactive config and ``labels`` lists every reachable
+    config in breadth-first order. Hearing a beep while inactive activates
+    exactly as an adversary wake does, so the wake is not a separate input.
     """
     cps = compute_checkpoints(period, spacing)
-    index = {INACTIVE_CONFIG: 0}
-    order = [INACTIVE_CONFIG]
-    frontier = deque([INACTIVE_CONFIG])
-    while frontier:
-        cfg = frontier.popleft()
-        for heard in (False, True):
-            nxt = step(cfg, RoundInput(heard, False), cps)
-            if nxt not in index:
-                index[nxt] = len(order)
-                order.append(nxt)
-                frontier.append(nxt)
-    return ProtocolAutomaton(
-        beep_next=tuple(index[step(cfg, RoundInput(True, False), cps)] for cfg in order),
-        silence_next=tuple(index[step(cfg, RoundInput(False, False), cps)] for cfg in order),
-        beeps=tuple(will_beep(cfg) for cfg in order),
-        clock_of=tuple(cfg.clock for cfg in order),
-        labels=tuple(order),
+    inputs = (RoundInput(False), RoundInput(True))
+    return _explore(
+        INACTIVE_CONFIG, lambda cfg, heard: step(cfg, inputs[heard], cps), will_beep
     )
 
 
@@ -332,23 +337,8 @@ def extract_selfstab_automaton(
     def advance(cfg: StabNodeConfig, heard: bool) -> StabNodeConfig:
         return stab_step(consistency_check(cfg, cps), RoundInput(heard), cps, node_bound, budget)
 
-    index = {start: 0}
-    order = [start]
-    frontier = deque([start])
-    while frontier:
-        cfg = frontier.popleft()
-        for heard in (False, True):
-            nxt = advance(cfg, heard)
-            if nxt not in index:
-                index[nxt] = len(order)
-                order.append(nxt)
-                frontier.append(nxt)
-    return ProtocolAutomaton(
-        beep_next=tuple(index[advance(cfg, True)] for cfg in order),
-        silence_next=tuple(index[advance(cfg, False)] for cfg in order),
-        beeps=tuple(will_beep_stab(consistency_check(cfg, cps)) for cfg in order),
-        clock_of=tuple(cfg.clock for cfg in order),
-        labels=tuple(order),
+    return _explore(
+        start, advance, lambda cfg: will_beep_stab(consistency_check(cfg, cps))
     )
 
 

@@ -137,7 +137,7 @@ def stab_step(
         State at the beginning of the next round.
     """
     period = checkpoints.period
-    saturation = max(4 * node_bound, budget + 1)
+    saturation = max_round_counter(node_bound, budget)
     rounds = config.round_counter
     if rounds < saturation:
         rounds += 1

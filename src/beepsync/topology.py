@@ -154,7 +154,10 @@ def parse_topology(text: str) -> Topology:
     Raises:
         ValueError: On malformed header or edge lines, or an invalid graph.
     """
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
+    lines = [
+        ln for ln in (raw.strip() for raw in text.splitlines())
+        if ln and not ln.startswith("#")
+    ]
     if not lines:
         raise ValueError("empty topology file")
     header = lines[0].split()

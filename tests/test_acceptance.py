@@ -22,7 +22,7 @@ from beepsync.engine import (
     run_fast,
     run_selfstab,
 )
-from beepsync.fast_protocol import config_bit_width, encode_config, reachable_configs
+from beepsync.fast_protocol import config_bit_width, encode_config
 from beepsync.fsm import (
     certify_no_sync,
     classify,
@@ -398,10 +398,9 @@ def test_criterion_09_slot_model():
 def test_criterion_10_state_width():
     overs = []
     for period in range(4, 65):
-        cps = compute_checkpoints(period, 4)
         limit = math.ceil(math.log2(period)) + 3
         assert config_bit_width(period) <= limit
-        for config in reachable_configs(cps):
+        for config in extract_fast_automaton(period).labels:
             if encode_config(config, period).bit_length() > limit:
                 overs.append((period, config))
     ok = not overs

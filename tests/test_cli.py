@@ -3,8 +3,7 @@ import json
 import pytest
 
 from beepsync.checkpoints import sync_round_budget
-from beepsync.cli import ExperimentSpec, main, run
-from beepsync.engine import ActivationSchedule
+from beepsync.cli import main
 from beepsync.selfstab import random_configs, save_configs
 from beepsync.topology import generate, save_topology
 
@@ -308,22 +307,3 @@ def test_sweep_selfstab_mode(capsys):
     assert summary["converged"] == 3
     assert summary["max_legitimate_round"] is not None
 
-
-def test_run_function_direct():
-    spec = ExperimentSpec(
-        mode="fast",
-        topology=generate("line", 3),
-        period=7,
-        spacing=4,
-        schedule=ActivationSchedule({0: 0}),
-    )
-    summary, code = run(spec)
-    assert code == 0
-    assert summary["sync_round"] == summary["bound"] == 14
-
-    with pytest.raises(ValueError):
-        run(
-            ExperimentSpec(
-                mode="warp", topology=generate("line", 3), period=7, spacing=4
-            )
-        )

@@ -14,10 +14,10 @@ from beepsync.fast_protocol import (
     config_bit_width,
     decode_config,
     encode_config,
-    reachable_configs,
     step,
     will_beep,
 )
+from beepsync.fsm import extract_fast_automaton
 
 CP19 = compute_checkpoints(19, 4)
 CP12 = compute_checkpoints(12, 4)
@@ -132,24 +132,25 @@ def test_reachable_beep_clocks_sit_next_to_checkpoints():
     # the activation clock 1
     for period in (7, 12, 19):
         cps = compute_checkpoints(period, 4)
-        for c in reachable_configs(cps):
+        for c in extract_fast_automaton(period).labels:
             if c.state is NodeState.BEEP:
                 assert c.clock in cps or cps.is_post_checkpoint(c.clock) or c.clock == 1
 
 
 def test_reachable_configs_closed_under_step():
+    # the adversary wake is not an input of the automaton; closure under it
+    # shows that dropping it loses no config
     cps = CP12
-    reach = set(reachable_configs(cps))
+    reach = set(extract_fast_automaton(12).labels)
     for c in reach:
-        for heard in (False, True):
-            assert step(c, RoundInput(heard), cps) in reach
+        for inputs in (SILENT, HEARD, WAKE):
+            assert step(c, inputs, cps) in reach
 
 
 def test_encode_decode_round_trip():
     for period in (4, 7, 19, 33):
-        cps = compute_checkpoints(period, 4)
         seen = set()
-        for c in reachable_configs(cps):
+        for c in extract_fast_automaton(period).labels:
             code = encode_config(c, period)
             assert code not in seen
             seen.add(code)

@@ -1,0 +1,151 @@
+"""Hypothesis property tests: text-format round trips and the two-node demo.
+
+Every test is derandomized so the suite stays deterministic, and runs
+without a per-example deadline.
+"""
+
+import string
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from beepsync.fsm import (
+    NotConstructible,
+    ProtocolAutomaton,
+    find_silence_cycle,
+    format_automaton,
+    parse_automaton,
+    runtime_lower_bound_demo,
+)
+from beepsync.selfstab import StabNodeConfig, StabState, format_configs, parse_configs
+from beepsync.topology import build, format_topology, parse_topology
+
+PROPERTY = settings(derandomize=True, deadline=None)
+
+INDENTS = st.sampled_from(["", " ", "  ", "\t", " \t"])
+COMMENT_TEXT = st.text(alphabet=string.ascii_letters + string.digits + " #-=:", max_size=12)
+
+
+@st.composite
+def filler_lines(draw):
+    """A blank line or an (indented) comment line."""
+    indent = draw(INDENTS)
+    if draw(st.booleans()):
+        return indent
+    return indent + "#" + draw(COMMENT_TEXT)
+
+
+@st.composite
+def with_noise(draw, text):
+    """``text`` with blank and comment lines before, between and after its lines."""
+    fillers = st.lists(filler_lines(), max_size=2)
+    out = []
+    for line in text.splitlines():
+        out.extend(draw(fillers))
+        out.append(line)
+    out.extend(draw(fillers))
+    return "\n".join(out) + "\n"
+
+
+@st.composite
+def topologies(draw):
+    n = draw(st.integers(1, 12))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    if pairs:
+        edges += draw(st.lists(st.sampled_from(pairs), max_size=n))
+    return build(edges, n)
+
+
+STAB_CONFIGS = st.lists(
+    st.builds(
+        StabNodeConfig,
+        clock=st.integers(0, 63),
+        state=st.sampled_from(StabState),
+        induced=st.booleans(),
+        round_counter=st.integers(0, 500),
+        beep_count=st.integers(0, 4),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+@st.composite
+def automata(draw):
+    k = draw(st.integers(1, 12))
+    targets = st.lists(st.integers(0, k - 1), min_size=k, max_size=k)
+    clocks = draw(st.none() | st.lists(st.integers(0, 5), min_size=k, max_size=k))
+    return ProtocolAutomaton(
+        beep_next=tuple(draw(targets)),
+        silence_next=tuple(draw(targets)),
+        beeps=tuple(draw(st.lists(st.booleans(), min_size=k, max_size=k))),
+        clock_of=None if clocks is None else tuple(clocks),
+    )
+
+
+@PROPERTY
+@given(st.data(), topologies())
+def test_topology_text_round_trip(data, topo):
+    text = data.draw(with_noise(format_topology(topo)))
+    assert parse_topology(text) == topo
+
+
+@PROPERTY
+@given(st.data(), STAB_CONFIGS)
+def test_config_text_round_trip(data, configs):
+    text = data.draw(with_noise(format_configs(configs)))
+    assert parse_configs(text) == configs
+
+
+@PROPERTY
+@given(st.data(), automata())
+def test_automaton_text_round_trip(data, automaton):
+    text = data.draw(with_noise(format_automaton(automaton)))
+    assert parse_automaton(text) == automaton
+
+
+def two_node_demo(automaton, period):
+    """Reference for runtime_lower_bound_demo: the pair stepped by hand."""
+    silence_core = find_silence_cycle(automaton, 0)[:-1]
+    beep_idx = [i for i, s in enumerate(silence_core) if automaton.beeps[s]]
+    if not beep_idx:
+        raise NotConstructible("silence cycle never beeps")
+    anchor = beep_idx[0]
+    if automaton.clock_of is not None:
+        for i in beep_idx:
+            if automaton.clock_of[silence_core[i]] == 0:
+                anchor = i
+                break
+    pair = (
+        silence_core[anchor],
+        silence_core[(anchor + 1) % len(silence_core)],
+    )
+    seen = set()
+    t = 0
+    while pair not in seen:
+        seen.add(pair)
+        a, b = pair
+        pair = (
+            automaton.transition(a, automaton.beeps[b]),
+            automaton.transition(b, automaton.beeps[a]),
+        )
+        t += 1
+        if pair[0] == pair[1]:
+            return t
+    return float("inf")
+
+
+@PROPERTY
+@given(automata(), st.integers(1, 6))
+# a lone beeping self-loop: the pair merges in round 1 on its first repeat
+@example(ProtocolAutomaton(beep_next=(0,), silence_next=(0,), beeps=(True,)), 1)
+def test_lower_bound_demo_matches_two_node_loop(automaton, period):
+    try:
+        expected = two_node_demo(automaton, period)
+    except NotConstructible:
+        with pytest.raises(NotConstructible):
+            runtime_lower_bound_demo(automaton, period)
+        return
+    assert runtime_lower_bound_demo(automaton, period) == expected

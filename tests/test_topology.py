@@ -123,6 +123,14 @@ def test_parse_rejects_malformed():
         parse_topology("n 3\n0 one\n")
 
 
+def test_parse_skips_indented_comments():
+    # comment lines are recognized after stripping, as in the config and
+    # automaton formats
+    assert parse_topology("n 2\n  # note\n0 1\n").edges == ((0, 1),)
+    topo = parse_topology("\t# two nodes\nn 2\n0 1\n")
+    assert (topo.node_count, topo.edges) == (2, ((0, 1),))
+
+
 def test_save_and_load(tmp_path):
     topo = generate("ring", 5)
     path = tmp_path / "ring.txt"
