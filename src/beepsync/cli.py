@@ -6,9 +6,10 @@ theoretical bound) and optionally writes the full trace to --out. Any long
 flag can be preset through an environment variable named
 BEEPSYNC_<FLAG> (uppercased, dashes become underscores); explicit flags win.
 
-Exit codes: 0 success, 2 invalid arguments or unusable input, 3 invariant
-violations found in the produced trace, 4 bound breach (no convergence
-within the horizon, or convergence later than the theoretical bound).
+Exit codes: 0 success, 2 invalid arguments or unusable input (including a
+sweep row whose run raised), 3 invariant violations found in the produced
+trace or a closure check that failed, 4 bound breach (no convergence within
+the horizon, or convergence later than the theoretical bound).
 """
 
 from __future__ import annotations
@@ -143,7 +144,7 @@ def _cmd_run_fast(args: argparse.Namespace) -> int:
             "invariant_violations": len(violations),
         }
     )
-    if violations:
+    if violations or result.closure_verified is False:
         return EXIT_INVARIANT
     return EXIT_OK if satisfied else EXIT_BOUND
 
@@ -185,7 +186,7 @@ def _cmd_run_selfstab(args: argparse.Namespace) -> int:
             "invariant_violations": len(violations),
         }
     )
-    if violations:
+    if violations or result.closure_verified is False:
         return EXIT_INVARIANT
     return EXIT_OK if result.legitimate_round is not None else EXIT_BOUND
 
@@ -397,7 +398,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     }
     _emit(summary)
     if errors:
-        return EXIT_INVARIANT
+        return EXIT_USAGE
     if not summary["all_ok"]:
         return EXIT_BOUND
     return EXIT_OK

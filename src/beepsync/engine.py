@@ -27,18 +27,25 @@ import csv
 import json
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import compress
 from typing import Iterator
 
 from .checkpoints import CheckpointSet, compute_checkpoints, fast_runtime_bound, sync_round_budget
 from .fast_protocol import (
-    INACTIVE_CONFIG,
     BeepClass,
     FastNodeConfig,
     NodeState,
     RoundInput,
     classify_beep,
-    step,
-    will_beep,
+    step,  # unused here; benchmarks/tracing.py counts calls through engine.step
+)
+from .fsm import (
+    ProtocolAutomaton,
+    bit_flags,
+    decode_masks,
+    extract_fast_automaton,
+    neighbor_masks,
 )
 from .selfstab import (
     StabNodeConfig,
@@ -229,6 +236,11 @@ class StabTrace:
                 }
 
 
+@lru_cache(maxsize=64)
+def _fast_table(period: int, spacing: int) -> ProtocolAutomaton:
+    return extract_fast_automaton(period, spacing)
+
+
 def run_fast(
     topology: Topology,
     schedule: ActivationSchedule,
@@ -238,6 +250,10 @@ def run_fast(
     record_trace: bool = True,
 ) -> tuple[SimResult, FastTrace | None]:
     """Simulates the fast protocol and reports the synchronization round.
+
+    The run steps the protocol's transition table (``extract_fast_automaton``)
+    on node bitsets, one set per occupied config; the trace is decoded from
+    the recorded sets afterwards.
 
     Args:
         topology: Connected graph to run on.
@@ -255,85 +271,105 @@ def run_fast(
     for node in schedule.wake_round:
         if not 0 <= node < n:
             raise ValueError(f"wake node {node} out of range")
-    cps = compute_checkpoints(period, spacing)
+    table = _fast_table(period, spacing)
     bound = fast_runtime_bound(topology.diameter, period, spacing)
     if horizon is None:
         horizon = 2 * bound + 4 * period
     offset = schedule.min_wake()
-    neighbors = topology.neighbors
-    wake = schedule.wake_round
+    woken: dict[int, int] = {}
+    for node, rnd in schedule.wake_round.items():
+        woken[rnd - offset] = woken.get(rnd - offset, 0) | 1 << node
+    neighbors = neighbor_masks(topology)
+    clock_of = table.clock_of
 
-    configs: list[FastNodeConfig] = [INACTIVE_CONFIG] * n
-    counters: list[int | None] = [None] * n
-    activation_round: list[int | None] = [None] * n
+    masks = {0: (1 << n) - 1}
     sync_round: int | None = None
-
-    clocks_rows: list[list[int]] = []
-    states_rows: list[list[NodeState]] = []
-    induced_rows: list[list[bool]] = []
-    beeped_rows: list[list[bool]] = []
-    counter_rows: list[list[int | None]] = []
-    event_rows: list[list[bool]] = []
-
-    for raw in range(offset, offset + horizon + 1):
-        beeping = [c.state is NodeState.BEEP for c in configs]
-        events = [False] * n
-        new_configs: list[FastNodeConfig] = []
-        for v in range(n):
-            heard = False
-            for w in neighbors[v]:
-                if beeping[w]:
-                    heard = True
-                    break
-            old = configs[v]
-            nxt = step(old, RoundInput(heard, wake.get(v) == raw), cps)
-            if old.state is NodeState.INACTIVE:
-                if nxt.state is not NodeState.INACTIVE:
-                    counters[v] = 0
-                    activation_round[v] = raw - offset
-            else:
-                counters[v] += (nxt.clock - old.clock) % period
-                if old.state is NodeState.LISTEN and heard and nxt.state is NodeState.BEEP:
-                    events[v] = True
-            new_configs.append(nxt)
-        configs = new_configs
-        t = raw - offset
-        if raw > offset and record_trace:
-            event_rows.append(events)
+    rounds: list[tuple[dict[int, int], int]] = []
+    for t in range(horizon + 1):
+        masks, heard = table.advance(masks, neighbors, woken.get(t, 0))
         if record_trace:
-            clocks_rows.append([c.clock for c in configs])
-            states_rows.append([c.state for c in configs])
-            induced_rows.append([c.induced for c in configs])
-            beeped_rows.append([c.state is NodeState.BEEP for c in configs])
-            counter_rows.append(counters.copy())
-        if sync_round is None and all(r is not None for r in activation_round):
-            first_clock = configs[0].clock
-            if all(c.clock == first_clock for c in configs):
-                sync_round = t
+            rounds.append((masks, heard))
+        if sync_round is None and 0 not in masks and len({clock_of[s] for s in masks}) == 1:
+            sync_round = t
 
-    trace = None
-    if record_trace:
-        trace = FastTrace(
-            topology=topology,
-            period=period,
-            spacing=spacing,
-            offset=offset,
-            activation_round=activation_round,
-            clocks=clocks_rows,
-            states=states_rows,
-            induced=induced_rows,
-            beeped=beeped_rows,
-            counters=counter_rows,
-            induce_event=event_rows,
-        )
     result = SimResult(
         sync_round=sync_round, bound=bound, horizon=horizon, rounds_run=horizon
     )
-    if trace is not None and sync_round is not None:
+    if not record_trace:
+        return result, None
+    trace = _decode_fast_trace(table, rounds, topology, period, spacing, offset)
+    if sync_round is not None:
         window = min(4 * period, horizon - sync_round)
         if window >= 2 * period:
             result.closure_verified = check_closure(trace, sync_round, period, window)
     return result, trace
+
+
+def _decode_fast_trace(
+    table: ProtocolAutomaton,
+    rounds: list[tuple[dict[int, int], int]],
+    topology: Topology,
+    period: int,
+    spacing: int,
+    offset: int,
+) -> FastTrace:
+    """Builds the per-node trace from each round's state masks and heard set.
+
+    ``rounds[t]`` holds the masks of trace row t and the nodes that heard a
+    beep in the step that produced them; the list is emptied as it is
+    decoded. A virtual counter is the rounds since activation plus the
+    induced jumps taken so far.
+    """
+    n = topology.node_count
+    configs = table.labels
+    clock_of = table.clock_of
+    beeps = table.beeps
+    state_of = [c.state for c in configs]
+    induced_of = [c.induced for c in configs]
+    # a listener whose heard-beep successor beeps takes the induced jump
+    induces = [
+        c.state is NodeState.LISTEN and beeps[table.beep_next[s]]
+        for s, c in enumerate(configs)
+    ]
+    activation_round: list[int | None] = [None] * n
+    jumps = [0] * n
+    trace = FastTrace(
+        topology=topology, period=period, spacing=spacing, offset=offset,
+        activation_round=activation_round, clocks=[], states=[], induced=[],
+        beeped=[], counters=[], induce_event=[],
+    )
+    nodes = range(n)
+    pending = (1 << n) - 1
+    prev: dict[int, int] = {}
+    rounds.reverse()
+    for t in range(len(rounds)):
+        masks, heard = rounds.pop()
+        if t:
+            jumped = 0
+            for s, m in prev.items():
+                if induces[s]:
+                    jumped |= m & heard
+            events = [False] * n
+            if jumped:
+                for v in compress(nodes, bit_flags(jumped)):
+                    events[v] = True
+                    jumps[v] += 1
+            trace.induce_event.append(events)
+        activated = pending & ~masks.get(0, 0)
+        if activated:
+            for v in compress(nodes, bit_flags(activated)):
+                activation_round[v] = t
+            pending ^= activated
+        ids = decode_masks(masks, n)
+        trace.clocks.append([clock_of[s] for s in ids])
+        trace.states.append([state_of[s] for s in ids])
+        trace.induced.append([induced_of[s] for s in ids])
+        trace.beeped.append([beeps[s] for s in ids])
+        trace.counters.append(
+            [None if a is None else t - a + j for a, j in zip(activation_round, jumps)]
+        )
+        prev = masks
+    return trace
 
 
 def check_closure(trace: FastTrace, sync_round: int, period: int, window: int) -> bool:

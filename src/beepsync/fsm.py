@@ -23,7 +23,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from functools import reduce
+from itertools import compress
+from operator import or_
+from typing import Callable, Sequence
 
 from .fast_protocol import INACTIVE_CONFIG, RoundInput, step, will_beep
 from .checkpoints import compute_checkpoints, sync_round_budget
@@ -76,6 +79,72 @@ class ProtocolAutomaton:
     def transition(self, state: int, heard_beep: bool) -> int:
         return self.beep_next[state] if heard_beep else self.silence_next[state]
 
+    def advance(
+        self, masks: dict[int, int], neighbor_masks: Sequence[int], woken: int = 0
+    ) -> tuple[dict[int, int], int]:
+        """Steps every node of a network through one round at once.
+
+        A node set is an int whose bit v stands for node v. ``masks`` maps
+        each occupied state id to its nodes, and ``neighbor_masks[v]`` holds
+        the neighbours of node v. A node hears a beep when some neighbour sits
+        in a beeping state; a node in state 0 whose bit is set in ``woken``
+        takes the beep input as well.
+
+        Returns:
+            (the next masks, without empty entries; the nodes that heard).
+        """
+        beeps = self.beeps
+        beeping = 0
+        for s, m in masks.items():
+            if beeps[s]:
+                beeping |= m
+        heard = reduce(or_, compress(neighbor_masks, bit_flags(beeping)), 0)
+        beep_next = self.beep_next
+        silence_next = self.silence_next
+        nxt: dict[int, int] = {}
+        for s, m in masks.items():
+            on = m & (heard | woken if s == 0 else heard)
+            if on:
+                t = beep_next[s]
+                nxt[t] = nxt.get(t, 0) | on
+            off = m ^ on
+            if off:
+                t = silence_next[s]
+                nxt[t] = nxt.get(t, 0) | off
+        return nxt, heard
+
+
+_FLAG_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def bit_flags(mask: int) -> bytes:
+    """One byte per bit of ``mask`` up to its highest set bit, lowest first: 1 if set."""
+    return bin(mask)[:1:-1].encode().translate(_FLAG_BYTES)
+
+
+def neighbor_masks(topology: Topology) -> list[int]:
+    """Each node's neighbours as a node set, in the form ``advance`` takes."""
+    return [sum(1 << w for w in nbrs) for nbrs in topology.neighbors]
+
+
+def state_masks(ids: Sequence[int]) -> dict[int, int]:
+    """The node set of each state occupied in the per-node ``ids``."""
+    masks: dict[int, int] = {}
+    for v, s in enumerate(ids):
+        masks[s] = masks.get(s, 0) | 1 << v
+    return masks
+
+
+def decode_masks(masks: dict[int, int], node_count: int) -> list[int]:
+    """Inverse of :func:`state_masks`: the state id of each node."""
+    ids = [0] * node_count
+    nodes = range(node_count)
+    for s, m in masks.items():
+        if s:
+            for v in compress(nodes, bit_flags(m)):
+                ids[v] = s
+    return ids
+
 
 @dataclass(frozen=True)
 class CycleReport:
@@ -122,6 +191,11 @@ def _pulses_every(automaton: ProtocolAutomaton, cycle: tuple[int, ...], period: 
     return _spaced_by(marks, len(core), period)
 
 
+def _check_period(period: int) -> None:
+    if period < 1:
+        raise ValueError(f"period must be positive, got {period}")
+
+
 def classify(
     automaton: ProtocolAutomaton, period: int, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> CycleReport:
@@ -132,8 +206,7 @@ def classify(
             the star case needs clock information or period phases the
             silence cycle does not provide.
     """
-    if period < 1:
-        raise ValueError(f"period must be positive, got {period}")
+    _check_period(period)
     beep_cycle = find_beep_cycle(automaton, 0)
     silence_cycle = find_silence_cycle(automaton, 0)
     core = beep_cycle[:-1]
@@ -182,19 +255,17 @@ def _global_run(
     Returns (sequence of configurations, index where the cycle starts); the
     sequence ends just before the first repeated configuration.
     """
-    neighbors = topology.neighbors
+    nbr = neighbor_masks(topology)
     n = topology.node_count
     seen: dict[tuple[int, ...], int] = {}
     seq: list[tuple[int, ...]] = []
     config = tuple(initial)
+    masks = state_masks(config)
     while config not in seen:
         seen[config] = len(seq)
         seq.append(config)
-        beeping = [automaton.beeps[s] for s in config]
-        config = tuple(
-            automaton.transition(config[v], any(beeping[w] for w in neighbors[v]))
-            for v in range(n)
-        )
+        masks, _ = automaton.advance(masks, nbr)
+        config = tuple(decode_masks(masks, n))
     return seq, seen[config]
 
 
@@ -230,6 +301,7 @@ def certify_no_sync(
     eventual behavior is exactly the detected cycle; synchronized pulsing
     from any round would make that cycle itself synchronized.
     """
+    _check_period(period)
     topology, initial = counterexample
     if topology.node_count > node_budget:
         raise ValueError(
@@ -250,12 +322,15 @@ def runtime_lower_bound_demo(automaton: ProtocolAutomaton, period: int) -> float
     Places two adjacent nodes one silence-cycle step apart, starting at the
     beeping anchor of the silence cycle, and runs them until their states
     merge. Returns the merge round (at least 1), or infinity when the pair
-    provably cycles without merging.
+    provably cycles without merging. The merge round does not depend on
+    ``period``; it is validated as :func:`classify` validates it.
 
     Raises:
+        ValueError: If ``period`` is not positive.
         NotConstructible: When the silence cycle never beeps, so the phase
             offset is meaningless.
     """
+    _check_period(period)
     silence_core = find_silence_cycle(automaton, 0)[:-1]
     beep_idx = [i for i, s in enumerate(silence_core) if automaton.beeps[s]]
     if not beep_idx:

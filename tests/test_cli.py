@@ -2,9 +2,10 @@ import json
 
 import pytest
 
+from beepsync import engine
 from beepsync.checkpoints import sync_round_budget
 from beepsync.cli import main
-from beepsync.selfstab import random_configs, save_configs
+from beepsync.selfstab import legitimate_configs, random_configs, save_configs
 from beepsync.topology import generate, save_topology
 
 
@@ -54,6 +55,19 @@ def test_run_fast_trace_out(tmp_path, capsys):
     assert code == 0
     header = out.read_text().splitlines()[0]
     assert header.startswith("round,node,")
+
+
+def test_run_fast_failed_closure_exits_three(monkeypatch, capsys):
+    monkeypatch.setattr(engine, "check_closure", lambda *args: False)
+    code, captured = run_cli(
+        capsys, "run-fast", "--topology", "line", "--n", "4",
+        "--T", "7", "--wake", "0=0",
+    )
+    assert code == 3
+    summary = last_json(captured.out)
+    assert summary["closure_verified"] is False
+    assert summary["bound_satisfied"] is True
+    assert summary["invariant_violations"] == 0
 
 
 def test_run_fast_horizon_too_short_is_bound_breach(capsys):
@@ -138,6 +152,20 @@ def test_run_selfstab_init_file(tmp_path, capsys):
     )
     assert code == 0
     assert last_json(captured.out)["legitimate_round"] is not None
+
+
+def test_run_selfstab_short_closure_window_exits_three(tmp_path, capsys):
+    path = tmp_path / "init.txt"
+    save_configs(legitimate_configs(3, 10), str(path))
+    code, captured = run_cli(
+        capsys, "run-selfstab", "--topology", "ring", "--n", "3",
+        "--T", "10", "--init-file", str(path), "--horizon", "19",
+    )
+    assert code == 3
+    summary = last_json(captured.out)
+    assert summary["legitimate_round"] == 0
+    assert summary["closure_verified"] is False
+    assert summary["invariant_violations"] == 0
 
 
 def test_run_selfstab_needs_init_or_seed(capsys):
@@ -294,6 +322,17 @@ def test_sweep_empty_grid(capsys):
     summary = last_json(captured.out)
     assert summary["rows"] == 0
     assert summary["max_sync_round"] is None
+
+
+def test_sweep_row_error_is_usage_error(capsys):
+    code, captured = run_cli(
+        capsys, "sweep", "--mode", "fast", "--kinds", "line",
+        "--n-range", "2:3", "--T-range", "3", "--seeds", "1",
+    )
+    assert code == 2
+    summary = last_json(captured.out)
+    assert summary["errors"] == summary["rows"] == 4
+    assert summary["all_ok"] is False
 
 
 def test_sweep_selfstab_mode(capsys):

@@ -1,13 +1,18 @@
 import copy
 import csv
 import json
+from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beepsync.checkpoints import compute_checkpoints, fast_runtime_bound, sync_round_budget
 from beepsync.engine import (
     TRACE_FIELDS,
     ActivationSchedule,
+    FastTrace,
+    SimResult,
     check_closure,
     check_invariants,
     check_stab_invariants,
@@ -28,7 +33,8 @@ from beepsync.selfstab import (
     legitimate_configs,
     random_configs,
 )
-from beepsync.topology import generate
+from beepsync.fast_protocol import INACTIVE_CONFIG, FastNodeConfig, NodeState, RoundInput, step
+from beepsync.topology import KINDS, generate
 
 
 def test_schedule_validation():
@@ -305,3 +311,126 @@ def test_fast_trace_rows_expose_counters():
         assert set(row) == set(TRACE_FIELDS)
         if row["state"] == "beep":
             assert row["beeped"]
+
+
+def _reference_run_fast(topology, schedule, period, spacing=4, horizon=None, record_trace=True):
+    """The per-node engine: every node steps through ``fast_protocol.step`` each round."""
+    n = topology.node_count
+    for node in schedule.wake_round:
+        if not 0 <= node < n:
+            raise ValueError(f"wake node {node} out of range")
+    cps = compute_checkpoints(period, spacing)
+    bound = fast_runtime_bound(topology.diameter, period, spacing)
+    if horizon is None:
+        horizon = 2 * bound + 4 * period
+    offset = schedule.min_wake()
+    neighbors = topology.neighbors
+    wake = schedule.wake_round
+
+    configs: list[FastNodeConfig] = [INACTIVE_CONFIG] * n
+    counters: list[int | None] = [None] * n
+    activation_round: list[int | None] = [None] * n
+    sync_round: int | None = None
+
+    clocks_rows: list[list[int]] = []
+    states_rows: list[list[NodeState]] = []
+    induced_rows: list[list[bool]] = []
+    beeped_rows: list[list[bool]] = []
+    counter_rows: list[list[int | None]] = []
+    event_rows: list[list[bool]] = []
+
+    for raw in range(offset, offset + horizon + 1):
+        beeping = [c.state is NodeState.BEEP for c in configs]
+        events = [False] * n
+        new_configs: list[FastNodeConfig] = []
+        for v in range(n):
+            heard = False
+            for w in neighbors[v]:
+                if beeping[w]:
+                    heard = True
+                    break
+            old = configs[v]
+            nxt = step(old, RoundInput(heard, wake.get(v) == raw), cps)
+            if old.state is NodeState.INACTIVE:
+                if nxt.state is not NodeState.INACTIVE:
+                    counters[v] = 0
+                    activation_round[v] = raw - offset
+            else:
+                counters[v] += (nxt.clock - old.clock) % period
+                if old.state is NodeState.LISTEN and heard and nxt.state is NodeState.BEEP:
+                    events[v] = True
+            new_configs.append(nxt)
+        configs = new_configs
+        t = raw - offset
+        if raw > offset and record_trace:
+            event_rows.append(events)
+        if record_trace:
+            clocks_rows.append([c.clock for c in configs])
+            states_rows.append([c.state for c in configs])
+            induced_rows.append([c.induced for c in configs])
+            beeped_rows.append([c.state is NodeState.BEEP for c in configs])
+            counter_rows.append(counters.copy())
+        if sync_round is None and all(r is not None for r in activation_round):
+            first_clock = configs[0].clock
+            if all(c.clock == first_clock for c in configs):
+                sync_round = t
+
+    trace = None
+    if record_trace:
+        trace = FastTrace(
+            topology=topology,
+            period=period,
+            spacing=spacing,
+            offset=offset,
+            activation_round=activation_round,
+            clocks=clocks_rows,
+            states=states_rows,
+            induced=induced_rows,
+            beeped=beeped_rows,
+            counters=counter_rows,
+            induce_event=event_rows,
+        )
+    result = SimResult(
+        sync_round=sync_round, bound=bound, horizon=horizon, rounds_run=horizon
+    )
+    if trace is not None and sync_round is not None:
+        window = min(4 * period, horizon - sync_round)
+        if window >= 2 * period:
+            result.closure_verified = check_closure(trace, sync_round, period, window)
+    return result, trace
+
+
+@st.composite
+def fast_runs(draw):
+    kind = draw(st.sampled_from(KINDS))
+    n = draw(st.integers(2 if kind == "star" else 1, 12))
+    topo = generate(kind, n, seed=draw(st.integers(0, 2**16)))
+    period = draw(st.integers(4, 16))
+    spacing = draw(st.sampled_from([4, *range(5, period + 1)]))
+    wakes = draw(
+        st.dictionaries(st.integers(0, n - 1), st.integers(0, 2 * period), min_size=1)
+    )
+    horizon = draw(st.none() | st.sampled_from([0, 1]) | st.integers(2, 6 * period))
+    return topo, ActivationSchedule(wakes), period, spacing, horizon
+
+
+DIFFERENTIAL = settings(derandomize=True, deadline=None, max_examples=200)
+
+
+@DIFFERENTIAL
+@given(fast_runs())
+def test_traced_run_matches_per_node_reference(run):
+    result, trace = run_fast(*run)
+    expected, expected_trace = _reference_run_fast(*run)
+    assert result == expected
+    for f in fields(FastTrace):
+        assert getattr(trace, f.name) == getattr(expected_trace, f.name), f.name
+
+
+@DIFFERENTIAL
+@given(fast_runs())
+def test_untraced_run_matches_per_node_reference(run):
+    result, trace = run_fast(*run, record_trace=False)
+    expected, _ = _reference_run_fast(*run, record_trace=False)
+    assert trace is None
+    assert result == expected

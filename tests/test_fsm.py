@@ -176,6 +176,17 @@ def test_classify_rejects_bad_period():
         classify(swap_automaton(), 0)
 
 
+@pytest.mark.parametrize("period", [0, -3])
+def test_certify_and_demo_reject_bad_period(period):
+    # a lone beeping self-loop: certification used to divide by the period
+    loop = ProtocolAutomaton(beep_next=(0,), silence_next=(0,), beeps=(True,))
+    message = f"period must be positive, got {period}"
+    with pytest.raises(ValueError, match=message):
+        certify_no_sync(loop, (generate("line", 1), (0,)), period)
+    with pytest.raises(ValueError, match=message):
+        runtime_lower_bound_demo(loop, period)
+
+
 def test_certify_sees_through_synchronized_start():
     # identical conforming neighbors pulse in unison: not a counterexample
     auto = conforming_pulser(6)

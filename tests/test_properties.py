@@ -1,4 +1,5 @@
-"""Hypothesis property tests: text-format round trips and the two-node demo.
+"""Hypothesis property tests: text-format round trips, the bitset diameter,
+the two-node demo and the table kernel's global run.
 
 Every test is derandomized so the suite stays deterministic, and runs
 without a per-example deadline.
@@ -13,13 +14,14 @@ from hypothesis import strategies as st
 from beepsync.fsm import (
     NotConstructible,
     ProtocolAutomaton,
+    _global_run,
     find_silence_cycle,
     format_automaton,
     parse_automaton,
     runtime_lower_bound_demo,
 )
 from beepsync.selfstab import StabNodeConfig, StabState, format_configs, parse_configs
-from beepsync.topology import build, format_topology, parse_topology
+from beepsync.topology import bfs_distances, build, format_topology, parse_topology
 
 PROPERTY = settings(derandomize=True, deadline=None)
 
@@ -49,8 +51,8 @@ def with_noise(draw, text):
 
 
 @st.composite
-def topologies(draw):
-    n = draw(st.integers(1, 12))
+def topologies(draw, max_nodes=12):
+    n = draw(st.integers(1, max_nodes))
     edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     if pairs:
@@ -90,6 +92,13 @@ def automata(draw):
 def test_topology_text_round_trip(data, topo):
     text = data.draw(with_noise(format_topology(topo)))
     assert parse_topology(text) == topo
+
+
+@PROPERTY
+@given(topologies())
+def test_diameter_is_largest_bfs_distance(topo):
+    sources = range(topo.node_count)
+    assert topo.diameter == max(max(bfs_distances(topo.neighbors, s)) for s in sources)
 
 
 @PROPERTY
@@ -149,3 +158,31 @@ def test_lower_bound_demo_matches_two_node_loop(automaton, period):
             runtime_lower_bound_demo(automaton, period)
         return
     assert runtime_lower_bound_demo(automaton, period) == expected
+
+
+def per_node_global_run(automaton, topology, initial):
+    """Reference for _global_run: every node stepped by its transition each round."""
+    neighbors = topology.neighbors
+    n = topology.node_count
+    seen = {}
+    seq = []
+    config = tuple(initial)
+    while config not in seen:
+        seen[config] = len(seq)
+        seq.append(config)
+        beeping = [automaton.beeps[s] for s in config]
+        config = tuple(
+            automaton.transition(config[v], any(beeping[w] for w in neighbors[v]))
+            for v in range(n)
+        )
+    return seq, seen[config]
+
+
+@PROPERTY
+# at most 6 nodes keep the global state space, and so the run, small
+@given(st.data(), automata(), topologies(max_nodes=6))
+def test_global_run_matches_per_node_loop(data, automaton, topo):
+    n = topo.node_count
+    states = st.integers(0, automaton.state_count - 1)
+    initial = tuple(data.draw(st.lists(states, min_size=n, max_size=n)))
+    assert _global_run(automaton, topo, initial) == per_node_global_run(automaton, topo, initial)

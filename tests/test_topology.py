@@ -107,6 +107,15 @@ def test_bfs_distance_symmetry():
     assert topo.diameter == max(max(row) for row in table)
 
 
+@pytest.mark.parametrize("size", [600, 1100])
+def test_diameter_over_several_source_blocks(size):
+    # more nodes than one bitset block holds, with a short diameter
+    topo = generate("random_connected", size, seed=size, extra_edge_probability=2 / size)
+    assert topo.diameter == max(
+        max(bfs_distances(topo.neighbors, s)) for s in range(size)
+    )
+
+
 def test_format_parse_round_trip():
     topo = generate("random_connected", 8, seed=11)
     again = parse_topology(format_topology(topo))
