@@ -58,7 +58,6 @@ from .fsm import (
 from .selfstab import (
     StabNodeConfig,
     StabState,
-    SuperState,
     consistency_check,
     legitimate_configs,
     load_configs,
@@ -67,7 +66,6 @@ from .selfstab import (
     random_configs,
     save_configs,
     stab_step,
-    super_state,
     validate_config,
     will_beep_stab,
 )

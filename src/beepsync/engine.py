@@ -17,8 +17,9 @@ legitimate_round is the start of the trailing streak of legitimate rounds,
 since a lone legitimate-looking round with adversarial counters can still
 collapse.
 
-Both engines are deterministic: the beep set is computed before any
-transition, and nodes are always processed in id order.
+Both engines are deterministic: they step node sets through the protocol's
+transition table (``fsm.advance``), and the beep set of a round is computed
+before any node moves.
 """
 
 from __future__ import annotations
@@ -36,27 +37,26 @@ from .fast_protocol import (
     BeepClass,
     FastNodeConfig,
     NodeState,
-    RoundInput,
     classify_beep,
     step,  # unused here; benchmarks/tracing.py counts calls through engine.step
 )
 from .fsm import (
     ProtocolAutomaton,
+    StabTable,
+    advance,
     bit_flags,
     decode_masks,
     extract_fast_automaton,
     neighbor_masks,
+    state_masks,
 )
 from .selfstab import (
     StabNodeConfig,
     StabState,
-    SuperState,
     consistency_check,
     max_round_counter,
-    stab_step,
-    super_state,
+    stab_step,  # unused here; benchmarks/tracing.py counts calls through engine.stab_step
     validate_config,
-    will_beep_stab,
 )
 from .topology import Topology
 
@@ -241,6 +241,13 @@ def _fast_table(period: int, spacing: int) -> ProtocolAutomaton:
     return extract_fast_automaton(period, spacing)
 
 
+# one table: grids visit their (period, node_bound) cells in turn, and a
+# table's columns grow with period * node_bound
+@lru_cache(maxsize=1)
+def _stab_table(period: int, spacing: int, node_bound: int) -> StabTable:
+    return StabTable(period, spacing, node_bound)
+
+
 def run_fast(
     topology: Topology,
     schedule: ActivationSchedule,
@@ -286,7 +293,7 @@ def run_fast(
     sync_round: int | None = None
     rounds: list[tuple[dict[int, int], int]] = []
     for t in range(horizon + 1):
-        masks, heard = table.advance(masks, neighbors, woken.get(t, 0))
+        masks, heard = advance(table, masks, neighbors, woken.get(t, 0))
         if record_trace:
             rounds.append((masks, heard))
         if sync_round is None and 0 not in masks and len({clock_of[s] for s in masks}) == 1:
@@ -567,7 +574,6 @@ def run_selfstab(
         node_bound = n
     if node_bound < n:
         raise ValueError(f"node_bound {node_bound} below node count {n}")
-    cps = compute_checkpoints(period, spacing)
     budget = sync_round_budget(node_bound, period, spacing)
     if horizon is None:
         horizon = 50 * max(period, budget, 4 * node_bound)
@@ -576,8 +582,9 @@ def run_selfstab(
     for cfg in initial:
         validate_config(cfg, period, node_bound, budget)
 
-    neighbors = topology.neighbors
-    configs = list(initial)
+    table = _stab_table(period, spacing, node_bound)
+    neighbors = neighbor_masks(topology)
+    masks = state_masks([table.code(c) for c in initial])
     streak_start: int | None = None
     all_lock_round: int | None = None
     entered_pulse = False
@@ -588,98 +595,76 @@ def run_selfstab(
     # earliest quiet pulse entry still waiting for an all-lock round
     open_entry: int | None = None
     prev_calm = False
-
-    clocks_rows: list[list[int]] = []
-    states_rows: list[list[StabState]] = []
-    induced_rows: list[list[bool]] = []
-    rc_rows: list[list[int]] = []
-    bc_rows: list[list[int]] = []
-    beeped_rows: list[list[bool]] = []
+    prev_pulse = 0
+    rounds: list[dict[int, int]] = []
 
     for t in range(horizon + 1):
         last_t = t
-        first_clock = configs[0].clock
-        legit = True
-        saw_pulse = False
+        pulse = 0
+        clocks = set()  # None stands for a config that is not legitimate
         all_lock = True
-        for c in configs:
-            s = c.state
-            if s is StabState.PULSE:
-                saw_pulse = True
-            if s is not StabState.LOCK:
+        pulsing = any_lock = False
+        for s, m in masks.items():
+            if table.beep_next[s] < 0:
+                table.fill(s)
+            clock, state, induced = table.heads[s % len(table.heads)]
+            if state is StabState.LOCK:
+                any_lock = True
+            else:
                 all_lock = False
-            if (
-                (s is not StabState.BEEP and s is not StabState.LISTEN)
-                or c.induced
-                or c.clock != first_clock
-            ):
-                legit = False
-        if saw_pulse:
-            pulse_seen = True
+                if state is StabState.PULSE:
+                    pulse |= m
+            fast = state is StabState.BEEP or state is StabState.LISTEN
+            clocks.add(clock if fast and not induced else None)
+            if table.pulses[s]:
+                pulsing = True
+        pulse_seen = pulse_seen or pulse != 0
+        entered_pulse = entered_pulse or (t > 0 and pulse & ~prev_pulse != 0)
+        prev_pulse = pulse
         if all_lock and all_lock_round is None:
             all_lock_round = t
-        if legit:
+        if len(clocks) == 1 and None not in clocks:
             if streak_start is None:
                 streak_start = t
         else:
             streak_start = None
 
-        checked = [consistency_check(c, cps) for c in configs]
-        beeping = [will_beep_stab(c) for c in checked]
-        repaired = [c.state for c in checked]
-        pulsing = StabState.PULSE in repaired
+        # the repair turns only beep and listen configs into pulses, so the
+        # locked nodes are the same before and after it
         if pulsing and prev_calm:
             quiet_pulses += 1
             if open_entry is None:
                 open_entry = t
-        if open_entry is not None and repaired.count(StabState.LOCK) == n:
+        if open_entry is not None and all_lock:
             lock_delay = max(lock_delay, t - open_entry)
             open_entry = None
-        prev_calm = not pulsing and StabState.LOCK not in repaired
+        prev_calm = not pulsing and not any_lock
         if record_trace:
-            clocks_rows.append([c.clock for c in configs])
-            states_rows.append([c.state for c in configs])
-            induced_rows.append([c.induced for c in configs])
-            rc_rows.append([c.round_counter for c in configs])
-            bc_rows.append([c.beep_count for c in configs])
-            beeped_rows.append(beeping)
+            rounds.append(masks)
 
-        if (
+        if t == horizon or (
             stability_window is not None
             and streak_start is not None
             and t - streak_start >= stability_window
         ):
             break
-        if t == horizon:
-            break
-
-        new_configs = []
-        for v in range(n):
-            heard = False
-            for w in neighbors[v]:
-                if beeping[w]:
-                    heard = True
-                    break
-            nxt = stab_step(checked[v], RoundInput(heard), cps, node_bound, budget)
-            if nxt.state is StabState.PULSE and configs[v].state is not StabState.PULSE:
-                entered_pulse = True
-            new_configs.append(nxt)
-        configs = new_configs
+        masks, _ = advance(table, masks, neighbors)
 
     trace = None
     if record_trace:
-        trace = StabTrace(
-            topology=topology,
-            period=period,
-            spacing=spacing,
-            node_bound=node_bound,
-            clocks=clocks_rows,
-            states=states_rows,
-            induced=induced_rows,
-            round_counter=rc_rows,
-            beep_count=bc_rows,
-            beeped=beeped_rows,
-        )
+        trace = StabTrace(topology, period, spacing, node_bound, [], [], [], [], [], [])
+        rounds.reverse()
+        while rounds:
+            masks = rounds.pop()
+            configs = {s: table.config(s) for s in masks}
+            ids = decode_masks(masks, n)
+            row = [configs[s] for s in ids]
+            trace.clocks.append([c.clock for c in row])
+            trace.states.append([c.state for c in row])
+            trace.induced.append([c.induced for c in row])
+            trace.round_counter.append([c.round_counter for c in row])
+            trace.beep_count.append([c.beep_count for c in row])
+            trace.beeped.append([table.beeps[s] == 1 for s in ids])
     streak = 0 if streak_start is None else last_t - streak_start
     result = SimResult(
         legitimate_round=streak_start,
@@ -781,18 +766,6 @@ def check_stab_invariants(trace: StabTrace, budget: int) -> list[Violation]:
                         )
                 lock_entry = None
     return violations
-
-
-def has_all_lock_round(trace: StabTrace) -> int | None:
-    """First round in which every node is locked, None if there is none."""
-    for t in range(trace.round_count()):
-        if all(s is StabState.LOCK for s in trace.states[t]):
-            return t
-    return None
-
-
-def super_states_at(trace: StabTrace, t: int) -> list[SuperState]:
-    return [super_state(trace.config_at(t, v)) for v in range(trace.topology.node_count)]
 
 
 def write_trace_csv(trace: FastTrace | StabTrace, path: str) -> None:

@@ -21,6 +21,7 @@ reachable cycle shows synchronized pulsing.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
@@ -30,7 +31,14 @@ from typing import Callable, Sequence
 
 from .fast_protocol import INACTIVE_CONFIG, RoundInput, step, will_beep
 from .checkpoints import compute_checkpoints, sync_round_budget
-from .selfstab import StabNodeConfig, StabState, consistency_check, stab_step, will_beep_stab
+from .selfstab import (
+    StabNodeConfig,
+    StabState,
+    consistency_check,
+    max_round_counter,
+    stab_step,
+    will_beep_stab,
+)
 from .topology import Topology, generate
 
 DEFAULT_NODE_BUDGET = 64
@@ -79,40 +87,6 @@ class ProtocolAutomaton:
     def transition(self, state: int, heard_beep: bool) -> int:
         return self.beep_next[state] if heard_beep else self.silence_next[state]
 
-    def advance(
-        self, masks: dict[int, int], neighbor_masks: Sequence[int], woken: int = 0
-    ) -> tuple[dict[int, int], int]:
-        """Steps every node of a network through one round at once.
-
-        A node set is an int whose bit v stands for node v. ``masks`` maps
-        each occupied state id to its nodes, and ``neighbor_masks[v]`` holds
-        the neighbours of node v. A node hears a beep when some neighbour sits
-        in a beeping state; a node in state 0 whose bit is set in ``woken``
-        takes the beep input as well.
-
-        Returns:
-            (the next masks, without empty entries; the nodes that heard).
-        """
-        beeps = self.beeps
-        beeping = 0
-        for s, m in masks.items():
-            if beeps[s]:
-                beeping |= m
-        heard = reduce(or_, compress(neighbor_masks, bit_flags(beeping)), 0)
-        beep_next = self.beep_next
-        silence_next = self.silence_next
-        nxt: dict[int, int] = {}
-        for s, m in masks.items():
-            on = m & (heard | woken if s == 0 else heard)
-            if on:
-                t = beep_next[s]
-                nxt[t] = nxt.get(t, 0) | on
-            off = m ^ on
-            if off:
-                t = silence_next[s]
-                nxt[t] = nxt.get(t, 0) | off
-        return nxt, heard
-
 
 _FLAG_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
@@ -144,6 +118,103 @@ def decode_masks(masks: dict[int, int], node_count: int) -> list[int]:
             for v in compress(nodes, bit_flags(m)):
                 ids[v] = s
     return ids
+
+
+def advance(
+    table: ProtocolAutomaton | StabTable,
+    masks: dict[int, int],
+    neighbor_masks: Sequence[int],
+    woken: int = 0,
+) -> tuple[dict[int, int], int]:
+    """Steps every node of a network through one round of ``table`` at once.
+
+    A node set is an int whose bit v stands for node v. ``masks`` maps each
+    occupied state id to its nodes, and ``neighbor_masks[v]`` holds the
+    neighbours of node v. A node hears a beep when some neighbour sits in a
+    beeping state; a node in state 0 whose bit is set in ``woken`` takes the
+    beep input as well. Only ``table.beeps``, ``table.beep_next`` and
+    ``table.silence_next`` are read, at the occupied ids.
+
+    Returns:
+        (the next masks, without empty entries; the nodes that heard).
+    """
+    beeps = table.beeps
+    beeping = 0
+    for s, m in masks.items():
+        if beeps[s]:
+            beeping |= m
+    heard = reduce(or_, compress(neighbor_masks, bit_flags(beeping)), 0)
+    beep_next = table.beep_next
+    silence_next = table.silence_next
+    nxt: dict[int, int] = {}
+    for s, m in masks.items():
+        on = m & (heard | woken if s == 0 else heard)
+        if on:
+            t = beep_next[s]
+            nxt[t] = nxt.get(t, 0) | on
+        off = m ^ on
+        if off:
+            t = silence_next[s]
+            nxt[t] = nxt.get(t, 0) | off
+    return nxt, heard
+
+
+_SILENT = RoundInput(False)
+_HEARD = RoundInput(True)
+
+
+class StabTable:
+    """The self-stabilizing protocol's transition table over the whole
+    config domain of ``selfstab.validate_config``, filled lazily.
+
+    The id of a config is ``(round_counter * 5 + beep_count) * len(heads)
+    + h``, where ``heads[h]`` is its (clock, state, induced). The entry of an
+    id is filled by :meth:`fill` before it is first stepped; until then
+    ``beep_next`` holds -1 there. ``beeps`` and ``pulses`` tell whether the
+    config beeps and pulses after the consistency repair.
+    """
+
+    def __init__(self, period: int, spacing: int, node_bound: int) -> None:
+        self.node_bound = node_bound
+        self.checkpoints = compute_checkpoints(period, spacing)
+        self.budget = sync_round_budget(node_bound, period, spacing)
+        self.heads = tuple(
+            (c, state, i) for i in (False, True) for state in StabState for c in range(period)
+        )
+        self._head_ids = {head: h for h, head in enumerate(self.heads)}
+        size = (max_round_counter(node_bound, self.budget) + 1) * 5 * len(self.heads)
+        self.beep_next = array("i", [-1]) * size
+        self.silence_next = array("i", [-1]) * size
+        self.beeps = bytearray(size)
+        self.pulses = bytearray(size)
+
+    def code(self, config: StabNodeConfig) -> int:
+        """The id of a config inside the domain."""
+        head = self._head_ids[config.clock, config.state, config.induced]
+        return (config.round_counter * 5 + config.beep_count) * len(self.heads) + head
+
+    def config(self, s: int) -> StabNodeConfig:
+        """The config of id ``s``."""
+        counters, head = divmod(s, len(self.heads))
+        return StabNodeConfig(*self.heads[head], *divmod(counters, 5))
+
+    def repair_and_step(
+        self, config: StabNodeConfig
+    ) -> tuple[StabNodeConfig, StabNodeConfig, StabNodeConfig]:
+        """A node's round: its config after the consistency repair, and its
+        next config on silence and on a heard beep."""
+        cps, node_bound, budget = self.checkpoints, self.node_bound, self.budget
+        checked = consistency_check(config, cps)
+        quiet = stab_step(checked, _SILENT, cps, node_bound, budget)
+        return checked, quiet, stab_step(checked, _HEARD, cps, node_bound, budget)
+
+    def fill(self, s: int) -> None:
+        """Fills the entry of id ``s``."""
+        checked, quiet, loud = self.repair_and_step(self.config(s))
+        self.beeps[s] = will_beep_stab(checked)
+        self.pulses[s] = checked.state is StabState.PULSE
+        self.silence_next[s] = self.code(quiet)
+        self.beep_next[s] = self.code(loud)
 
 
 @dataclass(frozen=True)
@@ -264,7 +335,7 @@ def _global_run(
     while config not in seen:
         seen[config] = len(seq)
         seq.append(config)
-        masks, _ = automaton.advance(masks, nbr)
+        masks, _ = advance(automaton, masks, nbr)
         config = tuple(decode_masks(masks, n))
     return seq, seen[config]
 
@@ -352,22 +423,23 @@ def runtime_lower_bound_demo(automaton: ProtocolAutomaton, period: int) -> float
 
 
 def _explore(
-    start: object,
-    advance: Callable[[object, bool], object],
-    beeps_of: Callable[[object], bool],
+    start: object, expand: Callable[[object], tuple[bool, object, object]]
 ) -> ProtocolAutomaton:
-    """Breadth-first closure of ``start`` under ``advance(config, heard)``.
+    """Breadth-first closure of ``start`` under ``expand``.
 
-    Both successors of a config are recorded when it is expanded, so each
-    (config, input) pair is stepped once. State ids follow discovery order.
+    ``expand(config)`` gives (whether it beeps, its successor on silence, its
+    successor on a heard beep), so each config is expanded once. State ids
+    follow discovery order, the silence successor first.
     """
     index = {start: 0}
     order = [start]
+    beeps: list[bool] = []
     beep_next: list[int] = []
     silence_next: list[int] = []
     for cfg in order:
-        for heard, targets in ((False, silence_next), (True, beep_next)):
-            nxt = advance(cfg, heard)
+        beeping, quiet, loud = expand(cfg)
+        beeps.append(beeping)
+        for nxt, targets in ((quiet, silence_next), (loud, beep_next)):
             if nxt not in index:
                 index[nxt] = len(order)
                 order.append(nxt)
@@ -375,7 +447,7 @@ def _explore(
     return ProtocolAutomaton(
         beep_next=tuple(beep_next),
         silence_next=tuple(silence_next),
-        beeps=tuple(beeps_of(cfg) for cfg in order),
+        beeps=tuple(beeps),
         clock_of=tuple(cfg.clock for cfg in order),
         labels=tuple(order),
     )
@@ -391,9 +463,9 @@ def extract_fast_automaton(
     exactly as an adversary wake does, so the wake is not a separate input.
     """
     cps = compute_checkpoints(period, spacing)
-    inputs = (RoundInput(False), RoundInput(True))
     return _explore(
-        INACTIVE_CONFIG, lambda cfg, heard: step(cfg, inputs[heard], cps), will_beep
+        INACTIVE_CONFIG,
+        lambda cfg: (will_beep(cfg), step(cfg, _SILENT, cps), step(cfg, _HEARD, cps)),
     )
 
 
@@ -405,16 +477,13 @@ def extract_selfstab_automaton(
     The per-round map applies the consistency repair before the transition,
     and a state beeps when its repaired form beeps.
     """
-    cps = compute_checkpoints(period, spacing)
-    budget = sync_round_budget(node_bound, period, spacing)
-    start = StabNodeConfig(0, StabState.INACTIVE, False, 0, 0)
+    table = StabTable(period, spacing, node_bound)
 
-    def advance(cfg: StabNodeConfig, heard: bool) -> StabNodeConfig:
-        return stab_step(consistency_check(cfg, cps), RoundInput(heard), cps, node_bound, budget)
+    def expand(cfg: StabNodeConfig) -> tuple[bool, StabNodeConfig, StabNodeConfig]:
+        checked, quiet, loud = table.repair_and_step(cfg)
+        return will_beep_stab(checked), quiet, loud
 
-    return _explore(
-        start, advance, lambda cfg: will_beep_stab(consistency_check(cfg, cps))
-    )
+    return _explore(StabNodeConfig(0, StabState.INACTIVE, False, 0, 0), expand)
 
 
 def format_automaton(automaton: ProtocolAutomaton) -> str:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .checkpoints import CheckpointSet
-from .fast_protocol import RoundInput
+from .fast_protocol import FastNodeConfig, NodeState, RoundInput, step
 
 
 class StabState(Enum):
@@ -32,20 +32,8 @@ class StabState(Enum):
     LOCK = "lock"
 
 
-class SuperState(Enum):
-    FAST = "fast"
-    PULSE = "pulse"
-    LOCK = "lock"
-    INACTIVE = "inactive"
-
-
-_SUPER = {
-    StabState.BEEP: SuperState.FAST,
-    StabState.LISTEN: SuperState.FAST,
-    StabState.PULSE: SuperState.PULSE,
-    StabState.LOCK: SuperState.LOCK,
-    StabState.INACTIVE: SuperState.INACTIVE,
-}
+_FAST_STATE = {StabState.BEEP: NodeState.BEEP, StabState.LISTEN: NodeState.LISTEN}
+_STAB_STATE = {fast: stab for stab, fast in _FAST_STATE.items()}
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,10 +53,6 @@ class StabNodeConfig:
     induced: bool
     round_counter: int
     beep_count: int
-
-
-def super_state(config: StabNodeConfig) -> SuperState:
-    return _SUPER[config.state]
 
 
 def will_beep_stab(config: StabNodeConfig) -> bool:
@@ -115,13 +99,10 @@ def stab_step(
 
       inactive: activate on a heard beep or once the counter reaches
           4*node_bound, as (clock 1, beep, induced, counter 0, beeps 1).
-      beep: count the own beep; pulse when the count reaches 4, else advance
-          the clock and listen.
-      listen, heard: count the beep; pulse when the count reaches 4 or the
-          round counter exceeds the budget; else run the fast protocol's
-          induce-or-advance branch.
-      listen, silent: clear the beep count and run the fast protocol's
-          advance-and-mature branch.
+      beep or listen: count the beep when the node beeps or hears one,
+          else clear the count; pulse when the count reaches 4, or when a
+          listener hears a beep after the round counter exceeds the budget;
+          else take the fast protocol's :func:`step`, keeping both counters.
       pulse: after four rounds, lock.
       lock: after 4*node_bound rounds, go inactive.
 
@@ -136,51 +117,29 @@ def stab_step(
     Returns:
         State at the beginning of the next round.
     """
-    period = checkpoints.period
     saturation = max_round_counter(node_bound, budget)
     rounds = config.round_counter
     if rounds < saturation:
         rounds += 1
     state = config.state
 
+    if state is StabState.BEEP or state is StabState.LISTEN:
+        heard = inputs.heard_beep
+        beeps = min(config.beep_count + 1, 4) if heard or state is StabState.BEEP else 0
+        if beeps >= 4 or (heard and state is StabState.LISTEN and rounds > budget):
+            return StabNodeConfig(config.clock, StabState.PULSE, config.induced, 0, beeps)
+        fast = FastNodeConfig(config.clock, _FAST_STATE[state], config.induced)
+        nxt = step(fast, inputs, checkpoints)
+        return StabNodeConfig(nxt.clock, _STAB_STATE[nxt.state], nxt.induced, rounds, beeps)
+
     if state is StabState.INACTIVE:
         if inputs.heard_beep or rounds >= 4 * node_bound:
             return StabNodeConfig(1, StabState.BEEP, True, 0, 1)
-        return StabNodeConfig(config.clock, state, config.induced, rounds, config.beep_count)
-
-    if state is StabState.BEEP:
-        beeps = min(config.beep_count + 1, 4)
-        if beeps >= 4:
-            return StabNodeConfig(config.clock, StabState.PULSE, config.induced, 0, beeps)
-        return StabNodeConfig(
-            (config.clock + 1) % period, StabState.LISTEN, config.induced, rounds, beeps
-        )
-
-    if state is StabState.LISTEN:
-        if inputs.heard_beep:
-            beeps = min(config.beep_count + 1, 4)
-            if beeps >= 4 or rounds > budget:
-                return StabNodeConfig(config.clock, StabState.PULSE, config.induced, 0, beeps)
-            if checkpoints.is_pre_checkpoint(config.clock):
-                return StabNodeConfig(
-                    (config.clock + 2) % period, StabState.BEEP, True, rounds, beeps
-                )
-            return StabNodeConfig(
-                (config.clock + 1) % period, StabState.LISTEN, config.induced, rounds, beeps
-            )
-        clock = (config.clock + 1) % period
-        if (config.induced and clock in checkpoints) or clock == 0:
-            return StabNodeConfig(clock, StabState.BEEP, False, rounds, 0)
-        return StabNodeConfig(clock, StabState.LISTEN, config.induced, rounds, 0)
-
-    if state is StabState.PULSE:
+    elif state is StabState.PULSE:
         if rounds >= 4:
-            return StabNodeConfig(config.clock, StabState.LOCK, config.induced, 0, config.beep_count)
-        return StabNodeConfig(config.clock, state, config.induced, rounds, config.beep_count)
-
-    # lock
-    if rounds >= 4 * node_bound:
-        return StabNodeConfig(config.clock, StabState.INACTIVE, config.induced, 0, config.beep_count)
+            state, rounds = StabState.LOCK, 0
+    elif rounds >= 4 * node_bound:  # lock
+        state, rounds = StabState.INACTIVE, 0
     return StabNodeConfig(config.clock, state, config.induced, rounds, config.beep_count)
 
 

@@ -13,25 +13,27 @@ from beepsync.engine import (
     ActivationSchedule,
     FastTrace,
     SimResult,
+    StabTrace,
     check_closure,
     check_invariants,
     check_stab_invariants,
-    has_all_lock_round,
     random_schedule,
     run_fast,
     run_selfstab,
     single_source_schedule,
-    super_states_at,
     write_trace_csv,
     write_trace_jsonl,
 )
 from beepsync.selfstab import (
     StabNodeConfig,
     StabState,
-    SuperState,
     consistency_check,
     legitimate_configs,
+    max_round_counter,
     random_configs,
+    stab_step,
+    validate_config,
+    will_beep_stab,
 )
 from beepsync.fast_protocol import INACTIVE_CONFIG, FastNodeConfig, NodeState, RoundInput, step
 from beepsync.topology import KINDS, generate
@@ -171,10 +173,9 @@ def test_all_pulse_clique_locks_then_releases():
     topo = generate("clique", 3)
     initial = [StabNodeConfig(0, StabState.PULSE, False, 0, 0) for _ in range(3)]
     result, trace = run_selfstab(topo, initial, 10, spacing=5, node_bound=3)
-    assert super_states_at(trace, 4) == [SuperState.LOCK] * 3
-    assert super_states_at(trace, 16) == [SuperState.INACTIVE] * 3
+    assert trace.states[4] == [StabState.LOCK] * 3
+    assert trace.states[16] == [StabState.INACTIVE] * 3
     assert result.all_lock_round == 4
-    assert has_all_lock_round(trace) == 4
 
 
 def test_selfstab_reference_run_converges():
@@ -434,3 +435,202 @@ def test_untraced_run_matches_per_node_reference(run):
     expected, _ = _reference_run_fast(*run, record_trace=False)
     assert trace is None
     assert result == expected
+
+
+def _reference_run_selfstab(
+    topology,
+    initial,
+    period,
+    spacing=5,
+    node_bound=None,
+    horizon=None,
+    stability_window=None,
+    record_trace=True,
+):
+    """The per-node engine: every node is repaired and stepped through
+    ``consistency_check`` and ``stab_step`` each round."""
+    n = topology.node_count
+    if node_bound is None:
+        node_bound = n
+    if node_bound < n:
+        raise ValueError(f"node_bound {node_bound} below node count {n}")
+    cps = compute_checkpoints(period, spacing)
+    budget = sync_round_budget(node_bound, period, spacing)
+    if horizon is None:
+        horizon = 50 * max(period, budget, 4 * node_bound)
+    if len(initial) != n:
+        raise ValueError(f"need {n} initial configs, got {len(initial)}")
+    for cfg in initial:
+        validate_config(cfg, period, node_bound, budget)
+
+    neighbors = topology.neighbors
+    configs = list(initial)
+    streak_start: int | None = None
+    all_lock_round: int | None = None
+    entered_pulse = False
+    pulse_seen = False
+    last_t = 0
+    quiet_pulses = 0
+    lock_delay = 0
+    # earliest quiet pulse entry still waiting for an all-lock round
+    open_entry: int | None = None
+    prev_calm = False
+
+    clocks_rows: list[list[int]] = []
+    states_rows: list[list[StabState]] = []
+    induced_rows: list[list[bool]] = []
+    rc_rows: list[list[int]] = []
+    bc_rows: list[list[int]] = []
+    beeped_rows: list[list[bool]] = []
+
+    for t in range(horizon + 1):
+        last_t = t
+        first_clock = configs[0].clock
+        legit = True
+        saw_pulse = False
+        all_lock = True
+        for c in configs:
+            s = c.state
+            if s is StabState.PULSE:
+                saw_pulse = True
+            if s is not StabState.LOCK:
+                all_lock = False
+            if (
+                (s is not StabState.BEEP and s is not StabState.LISTEN)
+                or c.induced
+                or c.clock != first_clock
+            ):
+                legit = False
+        if saw_pulse:
+            pulse_seen = True
+        if all_lock and all_lock_round is None:
+            all_lock_round = t
+        if legit:
+            if streak_start is None:
+                streak_start = t
+        else:
+            streak_start = None
+
+        checked = [consistency_check(c, cps) for c in configs]
+        beeping = [will_beep_stab(c) for c in checked]
+        repaired = [c.state for c in checked]
+        pulsing = StabState.PULSE in repaired
+        if pulsing and prev_calm:
+            quiet_pulses += 1
+            if open_entry is None:
+                open_entry = t
+        if open_entry is not None and repaired.count(StabState.LOCK) == n:
+            lock_delay = max(lock_delay, t - open_entry)
+            open_entry = None
+        prev_calm = not pulsing and StabState.LOCK not in repaired
+        if record_trace:
+            clocks_rows.append([c.clock for c in configs])
+            states_rows.append([c.state for c in configs])
+            induced_rows.append([c.induced for c in configs])
+            rc_rows.append([c.round_counter for c in configs])
+            bc_rows.append([c.beep_count for c in configs])
+            beeped_rows.append(beeping)
+
+        if (
+            stability_window is not None
+            and streak_start is not None
+            and t - streak_start >= stability_window
+        ):
+            break
+        if t == horizon:
+            break
+
+        new_configs = []
+        for v in range(n):
+            heard = False
+            for w in neighbors[v]:
+                if beeping[w]:
+                    heard = True
+                    break
+            nxt = stab_step(checked[v], RoundInput(heard), cps, node_bound, budget)
+            if nxt.state is StabState.PULSE and configs[v].state is not StabState.PULSE:
+                entered_pulse = True
+            new_configs.append(nxt)
+        configs = new_configs
+
+    trace = None
+    if record_trace:
+        trace = StabTrace(
+            topology=topology,
+            period=period,
+            spacing=spacing,
+            node_bound=node_bound,
+            clocks=clocks_rows,
+            states=states_rows,
+            induced=induced_rows,
+            round_counter=rc_rows,
+            beep_count=bc_rows,
+            beeped=beeped_rows,
+        )
+    streak = 0 if streak_start is None else last_t - streak_start
+    result = SimResult(
+        legitimate_round=streak_start,
+        closure_verified=(streak >= 2 * period) if streak_start is not None else None,
+        horizon=horizon,
+        rounds_run=last_t,
+        all_lock_round=all_lock_round,
+        entered_pulse=entered_pulse,
+        pulse_seen=pulse_seen,
+        legit_streak=streak,
+        quiet_pulses=quiet_pulses,
+        quiet_lock_delay=lock_delay if quiet_pulses and open_entry is None else None,
+    )
+    return result, trace
+
+
+@st.composite
+def stab_runs(draw):
+    kind = draw(st.sampled_from(KINDS))
+    n = draw(st.integers(2 if kind == "star" else 1, 10))
+    topo = generate(kind, n, seed=draw(st.integers(0, 2**16)))
+    node_bound = draw(st.integers(n, n + 3))
+    period = draw(st.integers(4, 16))
+    spacing = draw(st.sampled_from([4, *range(5, period + 1)]))
+    saturation = max_round_counter(node_bound, sync_round_budget(node_bound, period, spacing))
+    config = st.builds(
+        StabNodeConfig,
+        st.integers(0, period - 1),
+        st.sampled_from(StabState),
+        st.booleans(),
+        st.integers(0, saturation),
+        st.integers(0, 4),
+    )
+    initial = draw(st.lists(config, min_size=n, max_size=n))
+    horizon = draw(st.none() | st.sampled_from([0, 1]) | st.integers(2, 6 * period))
+    window = draw(st.none() | st.integers(0, 4 * period))
+    return topo, initial, period, spacing, node_bound, horizon, window
+
+
+@DIFFERENTIAL
+@given(stab_runs())
+def test_traced_selfstab_matches_per_node_reference(run):
+    result, trace = run_selfstab(*run)
+    expected, expected_trace = _reference_run_selfstab(*run)
+    assert result == expected
+    for f in fields(StabTrace):
+        assert getattr(trace, f.name) == getattr(expected_trace, f.name), f.name
+
+
+@DIFFERENTIAL
+@given(stab_runs())
+def test_untraced_selfstab_matches_per_node_reference(run):
+    result, trace = run_selfstab(*run, record_trace=False)
+    expected, _ = _reference_run_selfstab(*run, record_trace=False)
+    assert trace is None
+    assert result == expected
+
+
+def test_selfstab_tables_do_not_leak_between_node_bounds():
+    # same (T, q), alternating node bounds: each run must step its own table
+    topo = generate("ring", 4)
+    for node_bound in (4, 7, 4, 7, 4):
+        budget = sync_round_budget(node_bound, 10, 5)
+        for seed in range(3):
+            initial = random_configs(4, 10, node_bound, budget, seed=seed)
+            run = (topo, initial, 10, 5, node_bound, None, 40)
+            assert run_selfstab(*run) == _reference_run_selfstab(*run)

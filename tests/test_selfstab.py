@@ -1,11 +1,10 @@
 import pytest
 
-from beepsync.checkpoints import compute_checkpoints, sync_round_budget
+from beepsync.checkpoints import CheckpointSet, compute_checkpoints, sync_round_budget
 from beepsync.fast_protocol import RoundInput
 from beepsync.selfstab import (
     StabNodeConfig,
     StabState,
-    SuperState,
     consistency_check,
     format_configs,
     legitimate_configs,
@@ -15,7 +14,6 @@ from beepsync.selfstab import (
     random_configs,
     save_configs,
     stab_step,
-    super_state,
     validate_config,
     will_beep_stab,
 )
@@ -28,14 +26,6 @@ HEARD = RoundInput(heard_beep=True)
 
 def cfg(clock, state, induced=False, r=0, b=0):
     return StabNodeConfig(clock, state, induced, r, b)
-
-
-def test_super_state_mapping():
-    assert super_state(cfg(1, StabState.BEEP)) is SuperState.FAST
-    assert super_state(cfg(1, StabState.LISTEN)) is SuperState.FAST
-    assert super_state(cfg(0, StabState.PULSE)) is SuperState.PULSE
-    assert super_state(cfg(0, StabState.LOCK)) is SuperState.LOCK
-    assert super_state(cfg(0, StabState.INACTIVE)) is SuperState.INACTIVE
 
 
 def test_will_beep_stab():
@@ -226,3 +216,81 @@ def test_save_and_load_configs(tmp_path):
     path = tmp_path / "init.txt"
     save_configs(configs, str(path))
     assert load_configs(str(path)) == configs
+
+
+def _reference_stab_step(
+    config: StabNodeConfig,
+    inputs: RoundInput,
+    checkpoints: CheckpointSet,
+    node_bound: int,
+    budget: int,
+) -> StabNodeConfig:
+    """The transition with its own beep and listen branches, before they
+    were folded into ``fast_protocol.step``."""
+    period = checkpoints.period
+    saturation = max_round_counter(node_bound, budget)
+    rounds = config.round_counter
+    if rounds < saturation:
+        rounds += 1
+    state = config.state
+
+    if state is StabState.INACTIVE:
+        if inputs.heard_beep or rounds >= 4 * node_bound:
+            return StabNodeConfig(1, StabState.BEEP, True, 0, 1)
+        return StabNodeConfig(config.clock, state, config.induced, rounds, config.beep_count)
+
+    if state is StabState.BEEP:
+        beeps = min(config.beep_count + 1, 4)
+        if beeps >= 4:
+            return StabNodeConfig(config.clock, StabState.PULSE, config.induced, 0, beeps)
+        return StabNodeConfig(
+            (config.clock + 1) % period, StabState.LISTEN, config.induced, rounds, beeps
+        )
+
+    if state is StabState.LISTEN:
+        if inputs.heard_beep:
+            beeps = min(config.beep_count + 1, 4)
+            if beeps >= 4 or rounds > budget:
+                return StabNodeConfig(config.clock, StabState.PULSE, config.induced, 0, beeps)
+            if checkpoints.is_pre_checkpoint(config.clock):
+                return StabNodeConfig(
+                    (config.clock + 2) % period, StabState.BEEP, True, rounds, beeps
+                )
+            return StabNodeConfig(
+                (config.clock + 1) % period, StabState.LISTEN, config.induced, rounds, beeps
+            )
+        clock = (config.clock + 1) % period
+        if (config.induced and clock in checkpoints) or clock == 0:
+            return StabNodeConfig(clock, StabState.BEEP, False, rounds, 0)
+        return StabNodeConfig(clock, StabState.LISTEN, config.induced, rounds, 0)
+
+    if state is StabState.PULSE:
+        if rounds >= 4:
+            return StabNodeConfig(config.clock, StabState.LOCK, config.induced, 0, config.beep_count)
+        return StabNodeConfig(config.clock, state, config.induced, rounds, config.beep_count)
+
+    # lock
+    if rounds >= 4 * node_bound:
+        return StabNodeConfig(config.clock, StabState.INACTIVE, config.induced, 0, config.beep_count)
+    return StabNodeConfig(config.clock, state, config.induced, rounds, config.beep_count)
+
+
+@pytest.mark.parametrize("period", range(4, 13))
+def test_stab_step_matches_reference_on_whole_domain(period):
+    # every (config, input) pair for every valid spacing and N in {1, 2, 3, 5}
+    for spacing in (4, *range(5, period + 1)):
+        cps = compute_checkpoints(period, spacing)
+        for node_bound in (1, 2, 3, 5):
+            budget = sync_round_budget(node_bound, period, spacing)
+            for r in range(max_round_counter(node_bound, budget) + 1):
+                for state in StabState:
+                    for clock in range(period):
+                        for induced in (False, True):
+                            for b in range(5):
+                                c = StabNodeConfig(clock, state, induced, r, b)
+                                for inputs in (SILENT, HEARD):
+                                    assert stab_step(
+                                        c, inputs, cps, node_bound, budget
+                                    ) == _reference_stab_step(
+                                        c, inputs, cps, node_bound, budget
+                                    ), (c, inputs, spacing, node_bound)
