@@ -24,13 +24,13 @@ before any node moves.
 
 from __future__ import annotations
 
-import csv
 import json
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import compress
-from typing import Iterator
+from itertools import compress, count
+from operator import and_, attrgetter, is_not, itemgetter, ne, sub
+from typing import Callable, Iterator
 
 from .checkpoints import CheckpointSet, compute_checkpoints, fast_runtime_bound, sync_round_budget
 from .fast_protocol import (
@@ -124,6 +124,22 @@ class SimResult:
     quiet_lock_delay: int | None = None
 
 
+# an enum member's value; hashing it skips the Python-level Enum.__hash__
+_value = attrgetter("_value_")
+
+
+class _Memo(dict):
+    """A dict that computes a missing key's value once, with ``fn``."""
+
+    def __init__(self, fn: Callable) -> None:
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
 TRACE_FIELDS = (
     "round",
     "node",
@@ -173,24 +189,6 @@ class FastTrace:
             self.config_at(t, v), checkpoints, just_activated=self.activation_round[v] == t
         )
 
-    def rows(self) -> Iterator[dict]:
-        cps = compute_checkpoints(self.period, self.spacing)
-        for t in range(self.round_count()):
-            for v in range(self.topology.node_count):
-                beep_class = self.beep_class_at(t, v, cps)
-                yield {
-                    "round": t,
-                    "node": v,
-                    "clock": self.clocks[t][v],
-                    "state": self.states[t][v].value,
-                    "induced": self.induced[t][v],
-                    "r": None,
-                    "b": None,
-                    "beeped": self.beeped[t][v],
-                    "beep_class": None if beep_class is None else beep_class.value,
-                    "virtual_counter": self.counters[t][v],
-                }
-
 
 @dataclass
 class StabTrace:
@@ -218,22 +216,6 @@ class StabTrace:
             self.round_counter[t][v],
             self.beep_count[t][v],
         )
-
-    def rows(self) -> Iterator[dict]:
-        for t in range(self.round_count()):
-            for v in range(self.topology.node_count):
-                yield {
-                    "round": t,
-                    "node": v,
-                    "clock": self.clocks[t][v],
-                    "state": self.states[t][v].value,
-                    "induced": self.induced[t][v],
-                    "r": self.round_counter[t][v],
-                    "b": self.beep_count[t][v],
-                    "beeped": self.beeped[t][v],
-                    "beep_class": None,
-                    "virtual_counter": None,
-                }
 
 
 @lru_cache(maxsize=64)
@@ -407,19 +389,16 @@ def check_closure(trace: FastTrace, sync_round: int, period: int, window: int) -
     if last >= trace.round_count():
         raise ValueError(f"trace has {trace.round_count()} rounds, window needs {last + 1}")
     n = trace.topology.node_count
-    act = trace.activation_round
     last_bad = None
     for t in range(sync_round, last + 1):
         clocks = trace.clocks[t]
         first = clocks[0]
-        for v in range(n):
-            if act[v] is None or act[v] > t or clocks[v] != first:
-                return False
-        if t > sync_round:
-            beeped = trace.beeped[t]
-            for v in range(n):
-                if beeped[v] != (clocks[v] == 0):
-                    last_bad = t
+        # a counter is None exactly while its node is inactive
+        if None in trace.counters[t] or clocks.count(first) != n:
+            return False
+        # all clocks are equal now, so every node must beep iff it is at 0
+        if t > sync_round and trace.beeped[t].count(first == 0) != n:
+            last_bad = t
     return last_bad is None or last_bad <= sync_round + period + 1
 
 
@@ -432,107 +411,134 @@ def check_invariants(trace: FastTrace, checkpoints: CheckpointSet) -> list[Viola
     holding the maximum counter keeps holding it, C7 a node activated one
     round after a neighbor sits at counter distance 1.
 
+    Each check walks the trace once per row or once per node column, and
+    reports in the order of the per-cell scan: C1 and C3 by round, then node;
+    C2 and C6 by round, then node; C4 by round; C5 by edge, then round; C7
+    by node.
+
     Returns:
         All violations found (empty list for a conforming trace).
     """
-    violations: list[Violation] = []
     period = checkpoints.period
     n = trace.topology.node_count
     act = trace.activation_round
     rounds = trace.round_count()
     neighbors = trace.topology.neighbors
+    counter_rows = trace.counters
+    nodes = range(n)
+    # node v is active from round start[v] on; every node from round everyone
+    start = [rounds if a is None else a for a in act]
+    everyone = max(start, default=0)
+    beat = _Memo(lambda clock: clock in checkpoints or checkpoints.is_post_checkpoint(clock))
+    beep = NodeState.BEEP
 
-    def active(v: int, t: int) -> bool:
-        a = act[v]
-        return a is not None and a <= t
-
+    on_rows: list[Violation] = []  # C1 and C3
+    peaks: list[int | None] = []
     for t in range(rounds):
         clocks = trace.clocks[t]
         states = trace.states[t]
-        counters = trace.counters[t]
-        for v in range(n):
-            if not active(v, t):
-                continue
-            if (1 + counters[v]) % period != clocks[v]:
-                violations.append(
-                    Violation("C1", t, v, f"clock {clocks[v]} != 1 + counter {counters[v]} mod {period}")
+        counters = counter_rows[t]
+        if t >= everyone:
+            live = nodes
+        else:
+            flags = [s <= t for s in start]
+            live = list(compress(nodes, flags))
+            clocks, states, counters = (
+                list(compress(row, flags)) for row in (clocks, states, counters)
+            )
+        peaks.append(max(counters, default=None))
+        if [(1 + c) % period for c in counters] == clocks and (
+            beep not in states or all(beat[k] for k, s in zip(clocks, states) if s is beep)
+        ):
+            continue
+        for v, clock, state, counter in zip(live, clocks, states, counters):
+            if (1 + counter) % period != clock:
+                on_rows.append(
+                    Violation("C1", t, v, f"clock {clock} != 1 + counter {counter} mod {period}")
                 )
-            if states[v] is NodeState.BEEP:
-                if not (clocks[v] in checkpoints or checkpoints.is_post_checkpoint(clocks[v])):
-                    violations.append(
-                        Violation("C3", t, v, f"beep at clock {clocks[v]} off checkpoint structure")
-                    )
+            if state is beep and not beat[clock]:
+                on_rows.append(
+                    Violation("C3", t, v, f"beep at clock {clock} off checkpoint structure")
+                )
 
-    for t in range(rounds - 1):
-        before = trace.counters[t]
-        after = trace.counters[t + 1]
-        for v in range(n):
-            if active(v, t):
-                advance = after[v] - before[v]
-                if advance not in (1, 2):
-                    violations.append(Violation("C2", t, v, f"counter advanced by {advance}"))
+    # C2 on each column's counter steps; a step other than 1 is also the only
+    # place where the gap between two neighbours' counters can change (C5)
+    columns = list(zip(*counter_rows)) if rounds else [()] * n
+    bad_steps: list[tuple[int, int, int]] = []
+    moved: list[list[int]] = []
+    for v, column in enumerate(columns):
+        s = start[v]
+        odd = list(compress(count(s), map((1).__ne__, map(sub, column[s + 1:], column[s:]))))
+        for t in odd:
+            step = column[t + 1] - column[t]
+            if step != 2:
+                bad_steps.append((t, v, step))
+        moved.append([t + 1 for t in odd])
+    bad_steps.sort()
+    steps = [Violation("C2", t, v, f"counter advanced by {d}") for t, v, d in bad_steps]
 
+    induced: list[Violation] = []
     for t, events in enumerate(trace.induce_event):
+        if not any(events):
+            continue
         beeped = trace.beeped[t]
-        counters = trace.counters[t]
-        for v in range(n):
-            if not events[v]:
-                continue
+        counters = counter_rows[t]
+        for v in compress(nodes, events):
             for w in neighbors[v]:
-                if beeped[w] and active(w, t):
+                if beeped[w] and start[w] <= t:
                     if counters[v] in (counters[w], counters[w] + 1):
-                        violations.append(
+                        induced.append(
                             Violation(
                                 "C4", t, v,
                                 f"induced by node {w} at counters {counters[v]}/{counters[w]}",
                             )
                         )
 
-    for u, v in trace.topology.edges:
-        armed = False
-        for t in range(rounds):
-            if not (active(u, t) and active(v, t)):
-                armed = False
-                continue
-            gap = abs(trace.counters[t][u] - trace.counters[t][v])
-            if gap <= 1:
-                armed = True
-            else:
-                if armed and t + 1 < rounds:
-                    nxt = abs(trace.counters[t + 1][u] - trace.counters[t + 1][v])
-                    if nxt > 1:
-                        violations.append(
-                            Violation("C5", t, u, f"gap {gap} with node {v} not closed next round")
-                        )
-                armed = False
-
-    initial = [v for v in range(n) if act[v] == 0]
-    for t in range(rounds - 1):
-        counters = trace.counters[t]
-        live = [counters[v] for v in range(n) if active(v, t)]
-        if not live:
-            continue
-        peak = max(live)
-        after = trace.counters[t + 1]
-        live_after = [after[v] for v in range(n) if active(v, t + 1)]
-        peak_after = max(live_after)
-        for v in initial:
-            if counters[v] == peak and after[v] != peak_after:
-                violations.append(
-                    Violation("C6", t, v, f"lost maximal counter: {after[v]} < {peak_after}")
+    # C5: a gap above 1 that follows a gap of at most 1 and is still open the
+    # next round. It can open only in a round where one endpoint's counter did
+    # not step by 1, so only such a node's edges are tested in that round.
+    opened: set[tuple[int, int, int]] = set()
+    for x, moves in enumerate(moved):
+        for t in moves:
+            if t < rounds - 1:
+                before, now, after = counter_rows[t - 1], counter_rows[t], counter_rows[t + 1]
+                a, b, c = before[x], now[x], after[x]
+                opened.update(
+                    (x, w, t) if x < w else (w, x, t)
+                    for w in neighbors[x]
+                    if start[w] < t and -1 <= before[w] - a <= 1
+                    and not -1 <= now[w] - b <= 1 and not -1 <= after[w] - c <= 1
                 )
+    # edges are sorted (u, v) pairs with u < v, so this is edge, then round order
+    gaps = [
+        Violation("C5", t, u, f"gap {abs(columns[u][t] - columns[v][t])} with node {v} not closed next round")
+        for u, v, t in sorted(opened)
+    ]
 
-    for v in range(n):
+    lost = sorted(
+        (t, v)
+        for v in nodes
+        if act[v] == 0
+        for t in range(rounds - 1)
+        if columns[v][t] == peaks[t] and columns[v][t + 1] != peaks[t + 1]
+    )
+    maxima = [
+        Violation("C6", t, v, f"lost maximal counter: {columns[v][t + 1]} < {peaks[t + 1]}")
+        for t, v in lost
+    ]
+
+    late: list[Violation] = []
+    for v in nodes:
         t = act[v]
         if t is None or t < 1:
             continue
         for w in neighbors[v]:
-            if act[w] == t - 1 and trace.counters[t][w] != 1:
-                violations.append(
-                    Violation("C7", t, v, f"neighbor {w} at counter {trace.counters[t][w]}, expected 1")
+            if act[w] == t - 1 and counter_rows[t][w] != 1:
+                late.append(
+                    Violation("C7", t, v, f"neighbor {w} at counter {counter_rows[t][w]}, expected 1")
                 )
 
-    return violations
+    return on_rows + steps + induced + gaps + maxima + late
 
 
 def run_selfstab(
@@ -692,91 +698,167 @@ def check_stab_invariants(trace: StabTrace, budget: int) -> list[Violation]:
     counter may only step up by one until it saturates, reset to 0, or sit at
     1 right after a consistency reset; the beep counter clears on silent
     listen rounds.
+
+    Each node's column is checked at once: the counter steps and silent
+    listens by whole-column comparisons, the pulse and lock episodes over
+    runs of equal repaired states. Violations come in the order of a scan
+    by node, then round.
     """
     violations: list[Violation] = []
-    n = trace.topology.node_count
-    rounds = trace.round_count()
-    neighbors = trace.topology.neighbors
     saturation = max_round_counter(trace.node_bound, budget)
+    lock_length = 4 * trace.node_bound
     cps = compute_checkpoints(trace.period, trace.spacing)
-
-    post_states = [
-        [consistency_check(trace.config_at(t, v), cps).state for v in range(n)]
-        for t in range(rounds)
+    repaired = _Memo(lambda key: consistency_check(
+        StabNodeConfig(key[0], StabState(key[1]), *key[2:]), cps
+    ).state)
+    post_rows = [
+        list(map(repaired.__getitem__, zip(clocks, map(_value, states), induced, rcs, bcs)))
+        for clocks, states, induced, rcs, bcs in zip(
+            trace.clocks, trace.states, trace.induced, trace.round_counter, trace.beep_count
+        )
     ]
-    heard_rows = []
-    for t in range(rounds):
-        beeped = trace.beeped[t]
-        heard_rows.append([any(beeped[w] for w in neighbors[v]) for v in range(n)])
+    bits = [1 << v for v in range(trace.topology.node_count)]
+    beep_masks = [sum(compress(bits, row)) for row in trace.beeped]
+    columns = zip(
+        zip(*post_rows), zip(*trace.round_counter), zip(*trace.beep_count),
+        neighbor_masks(trace.topology),
+    )
+    listen, beep = StabState.LISTEN, StabState.BEEP
+    pulse, lock, inactive = StabState.PULSE, StabState.LOCK, StabState.INACTIVE
 
-    for v in range(n):
-        pulse_entry: int | None = None
-        lock_entry: int | None = None
-        for t in range(rounds):
-            state = post_states[t][v]
-            if t > 0:
-                prev = post_states[t - 1][v]
-                rc_prev = trace.round_counter[t - 1][v]
-                rc = trace.round_counter[t][v]
-                if rc not in (min(rc_prev + 1, saturation), 0, 1):
-                    violations.append(
-                        Violation("stab-r", t, v, f"round counter went {rc_prev} -> {rc}")
-                    )
-                if prev is StabState.LISTEN and not heard_rows[t - 1][v]:
-                    if state not in (StabState.LISTEN, StabState.BEEP):
-                        violations.append(
-                            Violation("stab-b", t, v, f"silent listen became {state.value}")
-                        )
-                    elif trace.beep_count[t][v] != 0:
-                        violations.append(
-                            Violation("stab-b", t, v, "beep count not cleared on silent listen")
-                        )
-                if prev is StabState.PULSE and state not in (StabState.PULSE, StabState.LOCK):
-                    violations.append(Violation("stab-pulse", t, v, f"pulse ended in {state.value}"))
-                if prev is StabState.LOCK and state not in (StabState.LOCK, StabState.INACTIVE):
-                    violations.append(Violation("stab-lock", t, v, f"lock ended in {state.value}"))
+    for v, (post, counters, beep_counts, around) in enumerate(columns):
+        # (round found, place in the per-round scan, violation)
+        found: list[tuple[int, int, Violation]] = []
 
-            if state is StabState.PULSE:
-                if pulse_entry is None:
-                    pulse_entry = t
+        steps = [r + 1 if r < saturation else saturation for r in counters]
+        for t in compress(count(1), map(ne, counters[1:], steps)):
+            if counters[t] not in (0, 1):
+                found.append((t, 0, Violation(
+                    "stab-r", t, v, f"round counter went {counters[t - 1]} -> {counters[t]}"
+                )))
+
+        silent = [s is listen and not m & around for s, m in zip(post, beep_masks)]
+        uncleared = [s is not listen and s is not beep or b != 0 for s, b in zip(post, beep_counts)]
+        for t in compress(count(1), map(and_, silent, uncleared[1:])):
+            state = post[t]
+            if state is not listen and state is not beep:
+                detail = f"silent listen became {state.value}"
             else:
-                if pulse_entry is not None and pulse_entry > 0:
-                    length = t - pulse_entry
-                    beeps = sum(1 for u in range(pulse_entry, t) if trace.beeped[u][v])
-                    if length != 4 or beeps != 4:
-                        violations.append(
-                            Violation(
-                                "stab-pulse", pulse_entry, v,
-                                f"entered pulse lasted {length} rounds with {beeps} beeps",
-                            )
-                        )
-                pulse_entry = None
-            if state is StabState.LOCK:
-                if lock_entry is None:
-                    lock_entry = t
-            else:
-                if lock_entry is not None and lock_entry > 0:
-                    length = t - lock_entry
-                    if length != 4 * trace.node_bound:
-                        violations.append(
-                            Violation(
-                                "stab-lock", lock_entry, v,
-                                f"entered lock lasted {length} rounds",
-                            )
-                        )
-                lock_entry = None
+                detail = "beep count not cleared on silent listen"
+            found.append((t, 1, Violation("stab-b", t, v, detail)))
+
+        # episodes: a run of pulse or lock states that starts after round 0
+        # and ends before the trace does; runs change where the state does
+        start = 0
+        for t in compress(count(1), map(is_not, post[1:], post)):
+            prev, state = post[t - 1], post[t]
+            if prev is pulse:
+                if state is not lock:
+                    found.append((t, 2, Violation("stab-pulse", t, v, f"pulse ended in {state.value}")))
+                if start > 0:
+                    beeps = sum(1 for row in trace.beeped[start:t] if row[v])
+                    if t - start != 4 or beeps != 4:
+                        found.append((t, 4, Violation(
+                            "stab-pulse", start, v,
+                            f"entered pulse lasted {t - start} rounds with {beeps} beeps",
+                        )))
+            elif prev is lock:
+                if state is not inactive:
+                    found.append((t, 3, Violation("stab-lock", t, v, f"lock ended in {state.value}")))
+                if start > 0 and t - start != lock_length:
+                    found.append((t, 5, Violation(
+                        "stab-lock", start, v, f"entered lock lasted {t - start} rounds"
+                    )))
+            start = t
+        found.sort(key=itemgetter(0, 1))
+        violations.extend(f[2] for f in found)
     return violations
 
 
+def _export_rounds(
+    trace: FastTrace | StabTrace, render: Callable[[tuple], str]
+) -> Iterator[tuple[int, Iterator[str], list[int | None]]]:
+    """Yields each round's index, per-node fragments and virtual counters.
+
+    A fragment is ``render`` applied to a row's fields from ``clock`` to
+    ``beep_class``. It is rendered once per distinct (clock, state, induced,
+    r, b, beeped, beep class) and cached, not once per row; a fast trace's
+    beep class depends on whether the node activated in that round, so the
+    cache key holds that flag.
+    """
+    rounds = range(trace.round_count())
+    if isinstance(trace, StabTrace):
+        stab = _Memo(lambda key: render((*key, None)))
+        none = [None] * trace.topology.node_count
+        for t in rounds:
+            keys = zip(
+                trace.clocks[t], map(_value, trace.states[t]), trace.induced[t],
+                trace.round_counter[t], trace.beep_count[t], trace.beeped[t],
+            )
+            yield t, map(stab.__getitem__, keys), none
+        return
+    cps = compute_checkpoints(trace.period, trace.spacing)
+
+    def fields(key: tuple) -> tuple:
+        clock, state, induced, beeped, just_activated = key
+        beep_class = None
+        if beeped:
+            config = FastNodeConfig(clock, NodeState(state), induced)
+            beep_class = classify_beep(config, cps, just_activated=just_activated).value
+        return clock, state, induced, None, None, beeped, beep_class
+
+    fast = _Memo(lambda key: render(fields(key)))
+    quiet = [False] * trace.topology.node_count
+    joined: dict[int, list[bool]] = {}
+    for v, t in enumerate(trace.activation_round):
+        if t is not None:
+            joined.setdefault(t, quiet.copy())[v] = True
+    for t in rounds:
+        keys = zip(
+            trace.clocks[t], map(_value, trace.states[t]), trace.induced[t], trace.beeped[t],
+            joined.get(t, quiet),
+        )
+        yield t, map(fast.__getitem__, keys), trace.counters[t]
+
+
 def write_trace_csv(trace: FastTrace | StabTrace, path: str) -> None:
+    """Writes one CSV row per (round, node), with a header of ``TRACE_FIELDS``.
+
+    None is written as an empty field. The file is written one round at a
+    time.
+    """
+    nodes = [f"{v}," for v in range(trace.topology.node_count)]
+    counter_text = _Memo(lambda c: "" if c is None else str(c))
+    rounds = _export_rounds(
+        trace, lambda fields: "".join(f"{'' if x is None else x}," for x in fields)
+    )
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=TRACE_FIELDS)
-        writer.writeheader()
-        for row in trace.rows():
-            writer.writerow({k: "" if v is None else v for k, v in row.items()})
+        fh.write(",".join(TRACE_FIELDS) + "\r\n")
+        for t, fragments, counters in rounds:
+            head = f"{t},"
+            fh.write("".join([
+                f"{head}{node}{frag}{counter_text[c]}\r\n"
+                for node, frag, c in zip(nodes, fragments, counters)
+            ]))
 
 
 def write_trace_jsonl(trace: FastTrace | StabTrace, path: str) -> None:
+    """Writes one JSON object per (round, node), keyed by ``TRACE_FIELDS``.
+
+    The text is what ``json.dumps`` gives for the row's dict. The file is
+    written one round at a time.
+    """
+    nodes = [f'"node": {v}, ' for v in range(trace.topology.node_count)]
+    counter_text = _Memo(json.dumps)
+    names = [json.dumps(name) for name in TRACE_FIELDS[2:9]]
+    rounds = _export_rounds(
+        trace, lambda fields: "".join(f"{k}: {json.dumps(x)}, " for k, x in zip(names, fields))
+        + '"virtual_counter": '
+    )
     with open(path, "w", encoding="utf-8") as fh:
-        for row in trace.rows():
-            fh.write(json.dumps(row) + "\n")
+        for t, fragments, counters in rounds:
+            head = f'{{"round": {t}, '
+            fh.write("".join([
+                f"{head}{node}{frag}{counter_text[c]}}}\n"
+                for node, frag, c in zip(nodes, fragments, counters)
+            ]))

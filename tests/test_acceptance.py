@@ -96,10 +96,8 @@ def line_runs():
     return SimpleNamespace(points=points, elapsed=time.perf_counter() - start)
 
 
-@pytest.fixture(scope="module")
-def fast_grid():
-    start = time.perf_counter()
-    points = []
+def fast_grid_inputs():
+    """Yields (kind, topology, schedule, period) for each criterion-02 run."""
     for kind in ("line", "ring", "star"):
         for n in range(2, 11):
             topo = generate(kind, n)
@@ -112,7 +110,13 @@ def fast_grid():
                         )
                     else:
                         schedule = random_schedule(n, seed, max_round=2 * period)
-                    points.append(fast_point(kind, topo, schedule, period))
+                    yield kind, topo, schedule, period
+
+
+@pytest.fixture(scope="module")
+def fast_grid():
+    start = time.perf_counter()
+    points = [fast_point(*run) for run in fast_grid_inputs()]
     return SimpleNamespace(points=points, elapsed=time.perf_counter() - start)
 
 

@@ -14,6 +14,7 @@ from beepsync.engine import (
     FastTrace,
     SimResult,
     StabTrace,
+    Violation,
     check_closure,
     check_invariants,
     check_stab_invariants,
@@ -304,14 +305,18 @@ def test_trace_jsonl_export(tmp_path):
     assert records[0]["r"] is not None
 
 
-def test_fast_trace_rows_expose_counters():
+def test_fast_trace_rows_expose_counters(tmp_path):
     _, trace = run_fast(generate("line", 3), single_source_schedule(0), 7, horizon=10)
-    rows = list(trace.rows())
-    assert len(rows) == trace.round_count() * 3
-    for row in rows:
-        assert set(row) == set(TRACE_FIELDS)
-        if row["state"] == "beep":
-            assert row["beeped"]
+    path = tmp_path / "trace.jsonl"
+    write_trace_jsonl(trace, str(path))
+    with open(path) as handle:
+        records = [json.loads(line) for line in handle]
+    assert len(records) == trace.round_count() * 3
+    for record in records:
+        assert tuple(record) == TRACE_FIELDS
+        assert record["virtual_counter"] == trace.counters[record["round"]][record["node"]]
+        if record["state"] == "beep":
+            assert record["beeped"]
 
 
 def _reference_run_fast(topology, schedule, period, spacing=4, horizon=None, record_trace=True):
@@ -634,3 +639,483 @@ def test_selfstab_tables_do_not_leak_between_node_bounds():
             initial = random_configs(4, 10, node_bound, budget, seed=seed)
             run = (topo, initial, 10, 5, node_bound, None, 40)
             assert run_selfstab(*run) == _reference_run_selfstab(*run)
+
+
+# The trace consumers as they were before they worked per column and per
+# distinct config: the bodies are kept verbatim as references.
+
+
+def _reference_fast_rows(trace):
+    """The old ``FastTrace.rows``: one dict per (round, node)."""
+    cps = compute_checkpoints(trace.period, trace.spacing)
+    for t in range(trace.round_count()):
+        for v in range(trace.topology.node_count):
+            beep_class = trace.beep_class_at(t, v, cps)
+            yield {
+                "round": t,
+                "node": v,
+                "clock": trace.clocks[t][v],
+                "state": trace.states[t][v].value,
+                "induced": trace.induced[t][v],
+                "r": None,
+                "b": None,
+                "beeped": trace.beeped[t][v],
+                "beep_class": None if beep_class is None else beep_class.value,
+                "virtual_counter": trace.counters[t][v],
+            }
+
+
+def _reference_stab_rows(trace):
+    """The old ``StabTrace.rows``: one dict per (round, node)."""
+    for t in range(trace.round_count()):
+        for v in range(trace.topology.node_count):
+            yield {
+                "round": t,
+                "node": v,
+                "clock": trace.clocks[t][v],
+                "state": trace.states[t][v].value,
+                "induced": trace.induced[t][v],
+                "r": trace.round_counter[t][v],
+                "b": trace.beep_count[t][v],
+                "beeped": trace.beeped[t][v],
+                "beep_class": None,
+                "virtual_counter": None,
+            }
+
+
+def _reference_rows(trace):
+    if isinstance(trace, FastTrace):
+        return _reference_fast_rows(trace)
+    return _reference_stab_rows(trace)
+
+
+def _reference_write_trace_csv(trace, path):
+    """The old exporter: ``csv.DictWriter`` over the row dicts."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=TRACE_FIELDS)
+        writer.writeheader()
+        for row in _reference_rows(trace):
+            writer.writerow({k: "" if v is None else v for k, v in row.items()})
+
+
+def _reference_write_trace_jsonl(trace, path):
+    """The old exporter: one ``json.dumps`` per row dict."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for row in _reference_rows(trace):
+            fh.write(json.dumps(row) + "\n")
+
+
+def _reference_check_closure(trace, sync_round, period, window):
+    """The old per-node closure check."""
+    if window < 2 * period:
+        raise ValueError(f"window {window} shorter than {2 * period}")
+    last = sync_round + window
+    if last >= trace.round_count():
+        raise ValueError(f"trace has {trace.round_count()} rounds, window needs {last + 1}")
+    n = trace.topology.node_count
+    act = trace.activation_round
+    last_bad = None
+    for t in range(sync_round, last + 1):
+        clocks = trace.clocks[t]
+        first = clocks[0]
+        for v in range(n):
+            if act[v] is None or act[v] > t or clocks[v] != first:
+                return False
+        if t > sync_round:
+            beeped = trace.beeped[t]
+            for v in range(n):
+                if beeped[v] != (clocks[v] == 0):
+                    last_bad = t
+    return last_bad is None or last_bad <= sync_round + period + 1
+
+
+def _reference_check_invariants(trace, checkpoints):
+    """The old per-cell C1-C7 scan, with the ``active(v, t)`` closure."""
+    violations: list[Violation] = []
+    period = checkpoints.period
+    n = trace.topology.node_count
+    act = trace.activation_round
+    rounds = trace.round_count()
+    neighbors = trace.topology.neighbors
+
+    def active(v: int, t: int) -> bool:
+        a = act[v]
+        return a is not None and a <= t
+
+    for t in range(rounds):
+        clocks = trace.clocks[t]
+        states = trace.states[t]
+        counters = trace.counters[t]
+        for v in range(n):
+            if not active(v, t):
+                continue
+            if (1 + counters[v]) % period != clocks[v]:
+                violations.append(
+                    Violation("C1", t, v, f"clock {clocks[v]} != 1 + counter {counters[v]} mod {period}")
+                )
+            if states[v] is NodeState.BEEP:
+                if not (clocks[v] in checkpoints or checkpoints.is_post_checkpoint(clocks[v])):
+                    violations.append(
+                        Violation("C3", t, v, f"beep at clock {clocks[v]} off checkpoint structure")
+                    )
+
+    for t in range(rounds - 1):
+        before = trace.counters[t]
+        after = trace.counters[t + 1]
+        for v in range(n):
+            if active(v, t):
+                advance = after[v] - before[v]
+                if advance not in (1, 2):
+                    violations.append(Violation("C2", t, v, f"counter advanced by {advance}"))
+
+    for t, events in enumerate(trace.induce_event):
+        beeped = trace.beeped[t]
+        counters = trace.counters[t]
+        for v in range(n):
+            if not events[v]:
+                continue
+            for w in neighbors[v]:
+                if beeped[w] and active(w, t):
+                    if counters[v] in (counters[w], counters[w] + 1):
+                        violations.append(
+                            Violation(
+                                "C4", t, v,
+                                f"induced by node {w} at counters {counters[v]}/{counters[w]}",
+                            )
+                        )
+
+    for u, v in trace.topology.edges:
+        armed = False
+        for t in range(rounds):
+            if not (active(u, t) and active(v, t)):
+                armed = False
+                continue
+            gap = abs(trace.counters[t][u] - trace.counters[t][v])
+            if gap <= 1:
+                armed = True
+            else:
+                if armed and t + 1 < rounds:
+                    nxt = abs(trace.counters[t + 1][u] - trace.counters[t + 1][v])
+                    if nxt > 1:
+                        violations.append(
+                            Violation("C5", t, u, f"gap {gap} with node {v} not closed next round")
+                        )
+                armed = False
+
+    initial = [v for v in range(n) if act[v] == 0]
+    for t in range(rounds - 1):
+        counters = trace.counters[t]
+        live = [counters[v] for v in range(n) if active(v, t)]
+        if not live:
+            continue
+        peak = max(live)
+        after = trace.counters[t + 1]
+        live_after = [after[v] for v in range(n) if active(v, t + 1)]
+        peak_after = max(live_after)
+        for v in initial:
+            if counters[v] == peak and after[v] != peak_after:
+                violations.append(
+                    Violation("C6", t, v, f"lost maximal counter: {after[v]} < {peak_after}")
+                )
+
+    for v in range(n):
+        t = act[v]
+        if t is None or t < 1:
+            continue
+        for w in neighbors[v]:
+            if act[w] == t - 1 and trace.counters[t][w] != 1:
+                violations.append(
+                    Violation("C7", t, v, f"neighbor {w} at counter {trace.counters[t][w]}, expected 1")
+                )
+
+    return violations
+
+
+def _reference_check_stab_invariants(trace, budget):
+    """The old per-cell scan: one ``consistency_check`` per (round, node)."""
+    violations: list[Violation] = []
+    n = trace.topology.node_count
+    rounds = trace.round_count()
+    neighbors = trace.topology.neighbors
+    saturation = max_round_counter(trace.node_bound, budget)
+    cps = compute_checkpoints(trace.period, trace.spacing)
+
+    post_states = [
+        [consistency_check(trace.config_at(t, v), cps).state for v in range(n)]
+        for t in range(rounds)
+    ]
+    heard_rows = []
+    for t in range(rounds):
+        beeped = trace.beeped[t]
+        heard_rows.append([any(beeped[w] for w in neighbors[v]) for v in range(n)])
+
+    for v in range(n):
+        pulse_entry: int | None = None
+        lock_entry: int | None = None
+        for t in range(rounds):
+            state = post_states[t][v]
+            if t > 0:
+                prev = post_states[t - 1][v]
+                rc_prev = trace.round_counter[t - 1][v]
+                rc = trace.round_counter[t][v]
+                if rc not in (min(rc_prev + 1, saturation), 0, 1):
+                    violations.append(
+                        Violation("stab-r", t, v, f"round counter went {rc_prev} -> {rc}")
+                    )
+                if prev is StabState.LISTEN and not heard_rows[t - 1][v]:
+                    if state not in (StabState.LISTEN, StabState.BEEP):
+                        violations.append(
+                            Violation("stab-b", t, v, f"silent listen became {state.value}")
+                        )
+                    elif trace.beep_count[t][v] != 0:
+                        violations.append(
+                            Violation("stab-b", t, v, "beep count not cleared on silent listen")
+                        )
+                if prev is StabState.PULSE and state not in (StabState.PULSE, StabState.LOCK):
+                    violations.append(Violation("stab-pulse", t, v, f"pulse ended in {state.value}"))
+                if prev is StabState.LOCK and state not in (StabState.LOCK, StabState.INACTIVE):
+                    violations.append(Violation("stab-lock", t, v, f"lock ended in {state.value}"))
+
+            if state is StabState.PULSE:
+                if pulse_entry is None:
+                    pulse_entry = t
+            else:
+                if pulse_entry is not None and pulse_entry > 0:
+                    length = t - pulse_entry
+                    beeps = sum(1 for u in range(pulse_entry, t) if trace.beeped[u][v])
+                    if length != 4 or beeps != 4:
+                        violations.append(
+                            Violation(
+                                "stab-pulse", pulse_entry, v,
+                                f"entered pulse lasted {length} rounds with {beeps} beeps",
+                            )
+                        )
+                pulse_entry = None
+            if state is StabState.LOCK:
+                if lock_entry is None:
+                    lock_entry = t
+            else:
+                if lock_entry is not None and lock_entry > 0:
+                    length = t - lock_entry
+                    if length != 4 * trace.node_bound:
+                        violations.append(
+                            Violation(
+                                "stab-lock", lock_entry, v,
+                                f"entered lock lasted {length} rounds",
+                            )
+                        )
+                lock_entry = None
+    return violations
+
+
+def _exported(write, trace, directory):
+    """The bytes ``write`` exports, or the type and message of its ValueError."""
+    path = directory / "trace.out"
+    try:
+        write(trace, str(path))
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return path.read_bytes()
+
+
+def _mutate(data, trace, domains):
+    """A copy of ``trace`` with up to six cells set to values drawn from
+    ``domains[field](old value)``; a None cell stays None, since a counter is
+    None exactly while its node is inactive."""
+    bad = copy.copy(trace)
+    for name in domains:
+        setattr(bad, name, [list(row) for row in getattr(trace, name)])
+    for _ in range(data.draw(st.integers(0, 6))):
+        name = data.draw(st.sampled_from(sorted(domains)))
+        rows = getattr(bad, name)
+        if not rows:
+            continue
+        row = rows[data.draw(st.integers(0, len(rows) - 1))]
+        v = data.draw(st.integers(0, len(row) - 1))
+        if row[v] is not None:
+            row[v] = data.draw(domains[name](row[v]))
+    return bad
+
+
+def _near(old, top):
+    """A value in [0, top], mostly within 3 of ``old``."""
+    return st.integers(-3, 3).map(lambda d: min(max(old + d, 0), top)) | st.integers(0, top)
+
+
+@pytest.fixture(scope="module")
+def export_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("export")
+
+
+CHECKERS = settings(derandomize=True, deadline=None, max_examples=150)
+
+
+@CHECKERS
+@given(fast_runs(), st.data())
+def test_fast_checkers_and_export_match_reference(export_dir, run, data):
+    topo, schedule, period, spacing, horizon = run
+    result, trace = run_fast(*run)
+    top = trace.round_count() + 2 * period
+    bad = _mutate(data, trace, {
+        "clocks": lambda c: st.integers(0, period - 1),
+        "states": lambda s: st.sampled_from(NodeState),
+        "induced": lambda b: st.booleans(),
+        "beeped": lambda b: st.booleans(),
+        "counters": lambda c: _near(c, top),
+        "induce_event": lambda b: st.booleans(),
+    })
+    if data.draw(st.booleans()):
+        # shift one node's counters from some round on, which opens gaps (C5)
+        v = data.draw(st.integers(0, topo.node_count - 1))
+        delta = data.draw(st.integers(-3, 3))
+        for row in bad.counters[data.draw(st.integers(0, trace.round_count() - 1)):]:
+            if row[v] is not None:
+                row[v] = max(row[v] + delta, 0)
+    cps = compute_checkpoints(period, spacing)
+    assert check_invariants(bad, cps) == _reference_check_invariants(bad, cps)
+    if result.sync_round is not None:
+        window = min(4 * period, result.horizon - result.sync_round)
+        if window >= 2 * period:
+            args = (bad, result.sync_round, period, window)
+            assert check_closure(*args) == _reference_check_closure(*args)
+    for write, reference in (
+        (write_trace_csv, _reference_write_trace_csv),
+        (write_trace_jsonl, _reference_write_trace_jsonl),
+    ):
+        assert _exported(write, bad, export_dir) == _exported(reference, bad, export_dir)
+
+
+@CHECKERS
+@given(stab_runs(), st.data())
+def test_stab_checker_and_export_match_reference(export_dir, run, data):
+    topo, initial, period, spacing, node_bound, horizon, window = run
+    if horizon is None:
+        horizon = 8 * period  # the default runs thousands of rounds
+    _, trace = run_selfstab(topo, initial, period, spacing, node_bound, horizon, window)
+    budget = sync_round_budget(node_bound, period, spacing)
+    saturation = max_round_counter(node_bound, budget)
+    bad = _mutate(data, trace, {
+        "clocks": lambda c: st.integers(0, period - 1),
+        "states": lambda s: st.sampled_from(StabState),
+        "induced": lambda b: st.booleans(),
+        "round_counter": lambda r: _near(r, saturation),
+        "beep_count": lambda b: st.integers(0, 4),
+        "beeped": lambda b: st.booleans(),
+    })
+    assert check_stab_invariants(bad, budget) == _reference_check_stab_invariants(bad, budget)
+    for write, reference in (
+        (write_trace_csv, _reference_write_trace_csv),
+        (write_trace_jsonl, _reference_write_trace_jsonl),
+    ):
+        assert _exported(write, bad, export_dir) == _exported(reference, bad, export_dir)
+
+
+def test_check_invariants_matches_reference_on_criterion_02_subset():
+    from test_acceptance import fast_grid_inputs
+
+    runs = list(fast_grid_inputs())[::10]
+    assert len(runs) == 702
+    for _, topo, schedule, period in runs:
+        _, trace = run_fast(topo, schedule, period)
+        cps = compute_checkpoints(period, 4)
+        assert check_invariants(trace, cps) == _reference_check_invariants(trace, cps)
+
+
+def _flagged(check, checker, reference, *args):
+    assert check in {v.check for v in checker(*args)}
+    assert check in {v.check for v in reference(*args)}
+
+
+# One hand-made, well-formed violation per check, on real traces. In the
+# line-4, T=7 run below node v activates at round v, the clocks agree from
+# round 21, and only clocks 0 (checkpoint) and 1 (one past it) may beep.
+
+@pytest.fixture
+def line_trace():
+    _, trace = run_fast(generate("line", 4), single_source_schedule(0), 7, horizon=30)
+    return copy.deepcopy(trace)
+
+
+def _set_counter(trace, t, v, counter):
+    trace.counters[t][v] = counter
+    trace.clocks[t][v] = (1 + counter) % trace.period
+
+
+def test_injected_c3_beep_off_checkpoint(line_trace):
+    assert line_trace.clocks[24][1] == 4
+    line_trace.states[24][1] = NodeState.BEEP
+    line_trace.beeped[24][1] = True
+    cps = compute_checkpoints(7, 4)
+    _flagged("C3", check_invariants, _reference_check_invariants, line_trace, cps)
+
+
+def test_injected_c4_induced_by_counter_neighbor(line_trace):
+    # node 2 beeps at counter 7 while listening node 1 sits at counter 8
+    assert line_trace.beeped[8][2] and line_trace.counters[8][1:3] == [8, 7]
+    line_trace.induce_event[8][1] = True
+    cps = compute_checkpoints(7, 4)
+    _flagged("C4", check_invariants, _reference_check_invariants, line_trace, cps)
+
+
+def test_injected_c4_induced_by_activation_beep(line_trace):
+    # node 1 activates in round 1 and beeps at counter 0 beside node 0 at 1
+    assert line_trace.activation_round[1] == 1 and line_trace.counters[1][:2] == [1, 0]
+    line_trace.induce_event[1][0] = True
+    cps = compute_checkpoints(7, 4)
+    _flagged("C4", check_invariants, _reference_check_invariants, line_trace, cps)
+
+
+def test_injected_c5_gap_left_open(line_trace):
+    # nodes 0 and 1 sit at gap 1 in round 1; gap 3 in rounds 2 and 3
+    _set_counter(line_trace, 2, 1, 4)
+    _set_counter(line_trace, 3, 1, 6)
+    cps = compute_checkpoints(7, 4)
+    _flagged("C5", check_invariants, _reference_check_invariants, line_trace, cps)
+
+
+def test_injected_c6_initial_node_loses_maximum(line_trace):
+    assert line_trace.counters[10] == [10, 10, 9, 8]
+    _set_counter(line_trace, 11, 1, 12)
+    cps = compute_checkpoints(7, 4)
+    _flagged("C6", check_invariants, _reference_check_invariants, line_trace, cps)
+
+
+def test_injected_c7_late_neighbor_counter(line_trace):
+    _set_counter(line_trace, 1, 0, 2)
+    cps = compute_checkpoints(7, 4)
+    _flagged("C7", check_invariants, _reference_check_invariants, line_trace, cps)
+
+
+@pytest.fixture
+def pulse_trace():
+    # the clique pulses in rounds 0-3, locks in 4-15 and is inactive from 16
+    topo = generate("clique", 3)
+    initial = [StabNodeConfig(0, StabState.PULSE, False, 0, 0) for _ in range(3)]
+    _, trace = run_selfstab(topo, initial, 10, spacing=5, node_bound=3, horizon=20)
+    return trace
+
+
+def test_injected_stab_b_beep_count_kept_on_silent_listen():
+    topo = generate("clique", 3)
+    _, trace = run_selfstab(topo, legitimate_configs(3, 8), 8, spacing=5, stability_window=32)
+    # every node listens in silence from round 0 to 6
+    trace.beep_count[3][1] = 2
+    budget = sync_round_budget(3, 8, 5)
+    _flagged("stab-b", check_stab_invariants, _reference_check_stab_invariants, trace, budget)
+
+
+def test_injected_stab_pulse_cut_short(pulse_trace):
+    pulse_trace.states[2][0] = StabState.LISTEN
+    pulse_trace.clocks[2][0] = 3
+    pulse_trace.beeped[2][0] = False
+    budget = sync_round_budget(3, 10, 5)
+    _flagged("stab-pulse", check_stab_invariants, _reference_check_stab_invariants,
+             pulse_trace, budget)
+
+
+def test_injected_stab_lock_left_for_beep(pulse_trace):
+    pulse_trace.states[9][1] = StabState.BEEP
+    pulse_trace.beeped[9][1] = True
+    budget = sync_round_budget(3, 10, 5)
+    _flagged("stab-lock", check_stab_invariants, _reference_check_stab_invariants,
+             pulse_trace, budget)
