@@ -30,7 +30,7 @@ from operator import or_
 from typing import Callable, Sequence
 
 from .fast_protocol import INACTIVE_CONFIG, RoundInput, step, will_beep
-from .checkpoints import compute_checkpoints, sync_round_budget
+from .checkpoints import CheckpointSet, compute_checkpoints, sync_round_budget
 from .selfstab import (
     StabNodeConfig,
     StabState,
@@ -83,9 +83,6 @@ class ProtocolAutomaton:
     @property
     def state_count(self) -> int:
         return len(self.beeps)
-
-    def transition(self, state: int, heard_beep: bool) -> int:
-        return self.beep_next[state] if heard_beep else self.silence_next[state]
 
 
 _FLAG_BYTES = bytes.maketrans(b"01", b"\x00\x01")
@@ -163,6 +160,16 @@ _SILENT = RoundInput(False)
 _HEARD = RoundInput(True)
 
 
+def repair_and_step(
+    config: StabNodeConfig, checkpoints: CheckpointSet, node_bound: int, budget: int
+) -> tuple[StabNodeConfig, StabNodeConfig, StabNodeConfig]:
+    """A self-stabilizing node's round: its config after the consistency
+    repair, and its next config on silence and on a heard beep."""
+    checked = consistency_check(config, checkpoints)
+    quiet = stab_step(checked, _SILENT, checkpoints, node_bound, budget)
+    return checked, quiet, stab_step(checked, _HEARD, checkpoints, node_bound, budget)
+
+
 class StabTable:
     """The self-stabilizing protocol's transition table over the whole
     config domain of ``selfstab.validate_config``, filled lazily.
@@ -198,19 +205,11 @@ class StabTable:
         counters, head = divmod(s, len(self.heads))
         return StabNodeConfig(*self.heads[head], *divmod(counters, 5))
 
-    def repair_and_step(
-        self, config: StabNodeConfig
-    ) -> tuple[StabNodeConfig, StabNodeConfig, StabNodeConfig]:
-        """A node's round: its config after the consistency repair, and its
-        next config on silence and on a heard beep."""
-        cps, node_bound, budget = self.checkpoints, self.node_bound, self.budget
-        checked = consistency_check(config, cps)
-        quiet = stab_step(checked, _SILENT, cps, node_bound, budget)
-        return checked, quiet, stab_step(checked, _HEARD, cps, node_bound, budget)
-
     def fill(self, s: int) -> None:
         """Fills the entry of id ``s``."""
-        checked, quiet, loud = self.repair_and_step(self.config(s))
+        checked, quiet, loud = repair_and_step(
+            self.config(s), self.checkpoints, self.node_bound, self.budget
+        )
         self.beeps[s] = will_beep_stab(checked)
         self.pulses[s] = checked.state is StabState.PULSE
         self.silence_next[s] = self.code(quiet)
@@ -477,10 +476,11 @@ def extract_selfstab_automaton(
     The per-round map applies the consistency repair before the transition,
     and a state beeps when its repaired form beeps.
     """
-    table = StabTable(period, spacing, node_bound)
+    cps = compute_checkpoints(period, spacing)
+    budget = sync_round_budget(node_bound, period, spacing)
 
     def expand(cfg: StabNodeConfig) -> tuple[bool, StabNodeConfig, StabNodeConfig]:
-        checked, quiet, loud = table.repair_and_step(cfg)
+        checked, quiet, loud = repair_and_step(cfg, cps, node_bound, budget)
         return will_beep_stab(checked), quiet, loud
 
     return _explore(StabNodeConfig(0, StabState.INACTIVE, False, 0, 0), expand)

@@ -1,13 +1,14 @@
 """Continuous-time engine with per-node slot boundaries.
 
-Nodes run the fast protocol, but each round occupies a real-time slot of
-fixed duration and the slot grids of different nodes start at arbitrary
-offsets. A beeping node beeps for its whole slot and beeps are received
-instantly. When a node that is inactive, or listening one tick before a
-checkpoint, hears a beep start at offset t inside its current slot, it
-extends that slot by t, so the extended slot ends exactly one slot duration
-after the onset and the node's grid locks onto the beeper's. Only the
-earliest onset in a slot triggers the extension; a beep already sounding
+Nodes step the fast protocol's transition table, as the round engine does,
+but each round occupies a real-time slot of fixed duration and the slot
+grids of different nodes start at arbitrary offsets. A beeping node beeps
+for its whole slot and beeps are received instantly. When a node whose next
+config depends on hearing a beep (an inactive node, or a listener one tick
+before a checkpoint) hears a beep start at offset t inside its current slot,
+it extends that slot by t, so the extended slot ends exactly one slot
+duration after the onset and the node's grid locks onto the beeper's. Only
+the earliest onset in a slot triggers the extension; a beep already sounding
 when the slot begins counts as onset offset 0 and extends nothing. The
 protocol step runs at the (possibly extended) slot end, so a node woken
 mid-slot beeps during its following slot.
@@ -21,11 +22,15 @@ from __future__ import annotations
 
 import csv
 import heapq
+import math
 from dataclasses import dataclass
 
-from .checkpoints import compute_checkpoints, fast_runtime_bound
-from .engine import ActivationSchedule, SimResult
-from .fast_protocol import INACTIVE_CONFIG, NodeState, RoundInput, step, will_beep
+from .checkpoints import fast_runtime_bound
+from .engine import ActivationSchedule, SimResult, _fast_table
+from .fast_protocol import (
+    NodeState,
+    step,  # unused here; benchmarks/tracing.py counts calls through slots.step
+)
 from .topology import Topology
 
 SLOT_FIELDS = ("node", "slot_index", "start_time", "end_time", "beeped", "clock")
@@ -64,9 +69,10 @@ def run_slots(
         schedule: Adversary wakes, given in per-node slot indices.
         period: Clock cycle length.
         spacing: Checkpoint distance.
-        slot_duration: Real-time length of an unextended slot.
-        time_horizon: Simulate events up to this time; defaults to enough
-            slots for synchronization plus a few periods.
+        slot_duration: Real-time length of an unextended slot; positive and
+            finite.
+        time_horizon: Simulate events up to this finite time; defaults to
+            enough slots for synchronization plus a few periods.
 
     Returns:
         (result, records); result.sync_time is the earliest boundary from
@@ -74,8 +80,8 @@ def run_slots(
     """
     n = topology.node_count
     mu = slot_duration
-    if mu <= 0:
-        raise ValueError(f"slot duration must be positive, got {mu}")
+    if not 0 < mu < math.inf:
+        raise ValueError(f"slot duration must be positive and finite, got {mu}")
     if offsets is None:
         offsets = [0.0] * n
     if len(offsets) != n:
@@ -86,14 +92,18 @@ def run_slots(
     for node in schedule.wake_round:
         if not 0 <= node < n:
             raise ValueError(f"wake node {node} out of range")
-    cps = compute_checkpoints(period, spacing)
+    table = _fast_table(period, spacing)
     if time_horizon is None:
         slots_needed = 2 * fast_runtime_bound(topology.diameter, period, spacing) + 4 * period
         time_horizon = max(offsets) + mu * (slots_needed + schedule.min_wake() + 2)
+    if not math.isfinite(time_horizon):
+        raise ValueError(f"time horizon must be finite, got {time_horizon}")
 
+    beep_next, silence_next = table.beep_next, table.silence_next
+    beeps, labels = table.beeps, table.labels
     neighbors = topology.neighbors
     wake = schedule.wake_round
-    configs = [INACTIVE_CONFIG] * n
+    ids = [0] * n
     slot_start = list(offsets)
     slot_end = [off + mu for off in offsets]
     slot_idx = [0] * n
@@ -109,22 +119,24 @@ def run_slots(
             continue
         if now > time_horizon:
             break
-        old = configs[v]
-        woke = wake.get(v) == slot_idx[v]
+        s = ids[v]
+        cfg = labels[s]
         records.append(
             SlotRecord(
                 node=v,
                 slot_index=slot_idx[v],
                 start_time=slot_start[v],
                 end_time=now,
-                clock=old.clock,
-                state=old.state,
-                induced=old.induced,
-                beeped=will_beep(old),
+                clock=cfg.clock,
+                state=cfg.state,
+                induced=cfg.induced,
+                beeped=beeps[s],
                 heard=heard[v],
             )
         )
-        configs[v] = step(old, RoundInput(heard[v], woke), cps)
+        # id 0 takes a wake as a heard beep, as in fsm.advance
+        loud = heard[v] or (s == 0 and wake.get(v) == slot_idx[v])
+        s = ids[v] = beep_next[s] if loud else silence_next[s]
         slot_idx[v] += 1
         slot_start[v] = now
         slot_end[v] = now + mu
@@ -132,23 +144,20 @@ def run_slots(
         anchored[v] = False
         heapq.heappush(heap, (slot_end[v], v))
 
-        if will_beep(configs[v]):
+        if beeps[s]:
             # beep onset at the new slot's start
             for w in neighbors[v]:
                 if slot_start[w] <= now < slot_end[w]:
                     heard[w] = True
                     if not anchored[w]:
                         anchored[w] = True
-                        cfg = configs[w]
-                        eligible = cfg.state is NodeState.INACTIVE or (
-                            cfg.state is NodeState.LISTEN
-                            and cps.is_pre_checkpoint(cfg.clock)
-                        )
-                        if eligible and now > slot_start[w]:
+                        # extend when the beep changes the listener's next config
+                        sw = ids[w]
+                        if beep_next[sw] != silence_next[sw] and now > slot_start[w]:
                             slot_end[w] = now + mu
                             heapq.heappush(heap, (slot_end[w], w))
         for w in neighbors[v]:
-            if will_beep(configs[w]) and slot_start[w] <= now < slot_end[w]:
+            if beeps[ids[w]] and slot_start[w] <= now < slot_end[w]:
                 # beep already sounding when the slot begins: onset offset 0
                 heard[v] = True
                 anchored[v] = True
@@ -181,27 +190,16 @@ def alignment_time(records: list[SlotRecord], node_count: int) -> float | None:
         return None
     cap = min(max(seen) for seen in by_node)
     candidates = sorted({start for seen in by_node for start in seen if start <= cap})
-    for x in candidates:
-        ok = False
-        for s in candidates:
-            if s < x:
-                continue
-            ok = True
-            group = []
-            for seen in by_node:
-                rec = seen.get(s)
-                if rec is None or rec.state is NodeState.INACTIVE:
-                    ok = False
-                    break
-                group.append(rec)
-            if not ok:
-                break
-            if any(rec.clock != group[0].clock for rec in group):
-                ok = False
-                break
-        if ok:
-            return x
-    return None
+    # x qualifies when every candidate from x on does: scan back to the last failure
+    found = None
+    for x in reversed(candidates):
+        group = [seen.get(x) for seen in by_node]
+        if any(rec is None or rec.state is NodeState.INACTIVE for rec in group):
+            break
+        if any(rec.clock != group[0].clock for rec in group):
+            break
+        found = x
+    return found
 
 
 def joint_beep_times(records: list[SlotRecord], node_count: int) -> list[float]:

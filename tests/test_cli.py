@@ -205,6 +205,20 @@ def test_run_slots_requires_wake(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "option",
+    [("--slot-duration", "inf"), ("--time-horizon", "inf"), ("--time-horizon", "nan")],
+    ids=["slot-duration-inf", "time-horizon-inf", "time-horizon-nan"],
+)
+def test_run_slots_non_finite_time_is_usage_error(capsys, option):
+    code, captured = run_cli(
+        capsys, "run-slots", "--topology", "line", "--n", "2", "--T", "8",
+        "--wake", "0=0", *option,
+    )
+    assert code == 2
+    assert "finite" in captured.err
+
+
 def test_run_slots_short_horizon_is_bound_breach(capsys):
     code, captured = run_cli(
         capsys, "run-slots", "--topology", "line", "--n", "3", "--T", "12",

@@ -74,7 +74,8 @@ def test_cycle_steps_follow_transitions():
         ):
             assert cycle[0] == cycle[-1]
             for i in range(len(cycle) - 1):
-                assert auto.transition(cycle[i], heard) == cycle[i + 1]
+                next_state = auto.beep_next if heard else auto.silence_next
+                assert next_state[cycle[i]] == cycle[i + 1]
 
 
 def test_fast_automaton_has_eight_states_for_period_four():

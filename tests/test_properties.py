@@ -115,6 +115,10 @@ def test_automaton_text_round_trip(data, automaton):
     assert parse_automaton(text) == automaton
 
 
+def transition(automaton, state, heard_beep):
+    return automaton.beep_next[state] if heard_beep else automaton.silence_next[state]
+
+
 def two_node_demo(automaton, period):
     """Reference for runtime_lower_bound_demo: the pair stepped by hand."""
     silence_core = find_silence_cycle(automaton, 0)[:-1]
@@ -137,8 +141,8 @@ def two_node_demo(automaton, period):
         seen.add(pair)
         a, b = pair
         pair = (
-            automaton.transition(a, automaton.beeps[b]),
-            automaton.transition(b, automaton.beeps[a]),
+            transition(automaton, a, automaton.beeps[b]),
+            transition(automaton, b, automaton.beeps[a]),
         )
         t += 1
         if pair[0] == pair[1]:
@@ -172,7 +176,7 @@ def per_node_global_run(automaton, topology, initial):
         seq.append(config)
         beeping = [automaton.beeps[s] for s in config]
         config = tuple(
-            automaton.transition(config[v], any(beeping[w] for w in neighbors[v]))
+            transition(automaton, config[v], any(beeping[w] for w in neighbors[v]))
             for v in range(n)
         )
     return seq, seen[config]

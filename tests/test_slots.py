@@ -1,10 +1,24 @@
 import csv
+import heapq
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from beepsync.engine import ActivationSchedule, run_fast, single_source_schedule
-from beepsync.slots import SLOT_FIELDS, alignment_time, joint_beep_times, run_slots, write_slot_csv
-from beepsync.topology import generate
+from beepsync.checkpoints import compute_checkpoints, fast_runtime_bound
+from beepsync.engine import ActivationSchedule, SimResult, run_fast, single_source_schedule
+from beepsync.fast_protocol import INACTIVE_CONFIG, NodeState, RoundInput, step, will_beep
+from beepsync.fsm import extract_fast_automaton
+from beepsync.slots import (
+    SLOT_FIELDS,
+    SlotRecord,
+    _quantize,
+    alignment_time,
+    joint_beep_times,
+    run_slots,
+    write_slot_csv,
+)
+from beepsync.topology import KINDS, Topology, generate
 
 TOL = 1e-9
 
@@ -136,6 +150,12 @@ def test_input_validation():
         run_slots(topo, None, single_source_schedule(5), 12)
     with pytest.raises(ValueError):
         run_slots(topo, None, single_source_schedule(0), 12, slot_duration=0.0)
+    with pytest.raises(ValueError):
+        run_slots(topo, None, single_source_schedule(0), 12, slot_duration=float("inf"))
+    with pytest.raises(ValueError):
+        run_slots(topo, None, single_source_schedule(0), 12, time_horizon=float("inf"))
+    with pytest.raises(ValueError):
+        run_slots(topo, None, single_source_schedule(0), 12, time_horizon=float("nan"))
 
 
 def test_slot_csv_export(tmp_path):
@@ -146,3 +166,218 @@ def test_slot_csv_export(tmp_path):
         rows = list(csv.reader(handle))
     assert tuple(rows[0]) == SLOT_FIELDS
     assert len(rows) - 1 == len(records)
+
+
+# The slot engine as it was before it stepped the fast transition table: one
+# FastNodeConfig per node stepped through fast_protocol.step, and the
+# alignment search as a nested loop. Kept as the reference the engine must
+# reproduce exactly.
+def _reference_run_slots(
+    topology: Topology,
+    offsets: list[float] | None,
+    schedule: ActivationSchedule,
+    period: int,
+    spacing: int = 4,
+    slot_duration: float = 1.0,
+    time_horizon: float | None = None,
+) -> tuple[SimResult, list[SlotRecord]]:
+    """Simulates the fast protocol over unsynchronized slot grids.
+
+    Args:
+        topology: Connected graph to run on.
+        offsets: Start time of each node's slot 0, in [0, slot_duration);
+            None means all zero.
+        schedule: Adversary wakes, given in per-node slot indices.
+        period: Clock cycle length.
+        spacing: Checkpoint distance.
+        slot_duration: Real-time length of an unextended slot.
+        time_horizon: Simulate events up to this time; defaults to enough
+            slots for synchronization plus a few periods.
+
+    Returns:
+        (result, records); result.sync_time is the earliest boundary from
+        which all grids coincide with equal clocks, None if never reached.
+    """
+    n = topology.node_count
+    mu = slot_duration
+    if mu <= 0:
+        raise ValueError(f"slot duration must be positive, got {mu}")
+    if offsets is None:
+        offsets = [0.0] * n
+    if len(offsets) != n:
+        raise ValueError(f"need {n} offsets, got {len(offsets)}")
+    for off in offsets:
+        if not 0 <= off < mu:
+            raise ValueError(f"offset {off} outside [0, {mu})")
+    for node in schedule.wake_round:
+        if not 0 <= node < n:
+            raise ValueError(f"wake node {node} out of range")
+    cps = compute_checkpoints(period, spacing)
+    if time_horizon is None:
+        slots_needed = 2 * fast_runtime_bound(topology.diameter, period, spacing) + 4 * period
+        time_horizon = max(offsets) + mu * (slots_needed + schedule.min_wake() + 2)
+
+    neighbors = topology.neighbors
+    wake = schedule.wake_round
+    configs = [INACTIVE_CONFIG] * n
+    slot_start = list(offsets)
+    slot_end = [off + mu for off in offsets]
+    slot_idx = [0] * n
+    heard = [False] * n
+    anchored = [False] * n
+    records: list[SlotRecord] = []
+    heap = [(slot_end[v], v) for v in range(n)]
+    heapq.heapify(heap)
+
+    while heap:
+        now, v = heapq.heappop(heap)
+        if now != slot_end[v]:
+            continue
+        if now > time_horizon:
+            break
+        old = configs[v]
+        woke = wake.get(v) == slot_idx[v]
+        records.append(
+            SlotRecord(
+                node=v,
+                slot_index=slot_idx[v],
+                start_time=slot_start[v],
+                end_time=now,
+                clock=old.clock,
+                state=old.state,
+                induced=old.induced,
+                beeped=will_beep(old),
+                heard=heard[v],
+            )
+        )
+        configs[v] = step(old, RoundInput(heard[v], woke), cps)
+        slot_idx[v] += 1
+        slot_start[v] = now
+        slot_end[v] = now + mu
+        heard[v] = False
+        anchored[v] = False
+        heapq.heappush(heap, (slot_end[v], v))
+
+        if will_beep(configs[v]):
+            # beep onset at the new slot's start
+            for w in neighbors[v]:
+                if slot_start[w] <= now < slot_end[w]:
+                    heard[w] = True
+                    if not anchored[w]:
+                        anchored[w] = True
+                        cfg = configs[w]
+                        eligible = cfg.state is NodeState.INACTIVE or (
+                            cfg.state is NodeState.LISTEN
+                            and cps.is_pre_checkpoint(cfg.clock)
+                        )
+                        if eligible and now > slot_start[w]:
+                            slot_end[w] = now + mu
+                            heapq.heappush(heap, (slot_end[w], w))
+        for w in neighbors[v]:
+            if will_beep(configs[w]) and slot_start[w] <= now < slot_end[w]:
+                # beep already sounding when the slot begins: onset offset 0
+                heard[v] = True
+                anchored[v] = True
+                break
+
+    result = SimResult(
+        sync_time=_reference_alignment_time(records, n),
+        horizon=int(time_horizon // mu),
+        rounds_run=max((r.slot_index + 1 for r in records), default=0),
+    )
+    return result, records
+
+
+def _reference_alignment_time(records: list[SlotRecord], node_count: int) -> float | None:
+    """Earliest slot boundary from which all grids coincide with equal clocks.
+
+    A time x qualifies when every later common boundary (up to the last slot
+    completed by all nodes) is a slot start for every node, all nodes are
+    active there, and their clocks agree. Returns None when no such boundary
+    exists in the recorded window.
+    """
+    by_node: list[dict[float, SlotRecord]] = [{} for _ in range(node_count)]
+    for rec in records:
+        by_node[rec.node][_quantize(rec.start_time)] = rec
+    if any(not seen for seen in by_node):
+        return None
+    cap = min(max(seen) for seen in by_node)
+    candidates = sorted({start for seen in by_node for start in seen if start <= cap})
+    for x in candidates:
+        ok = False
+        for s in candidates:
+            if s < x:
+                continue
+            ok = True
+            group = []
+            for seen in by_node:
+                rec = seen.get(s)
+                if rec is None or rec.state is NodeState.INACTIVE:
+                    ok = False
+                    break
+                group.append(rec)
+            if not ok:
+                break
+            if any(rec.clock != group[0].clock for rec in group):
+                ok = False
+                break
+        if ok:
+            return x
+    return None
+
+
+@st.composite
+def slot_runs(draw):
+    kind = draw(st.sampled_from(KINDS))
+    n = draw(st.integers(2 if kind == "star" else 1, 9))
+    topo = generate(kind, n, seed=draw(st.integers(0, 2**16)))
+    period = draw(st.integers(4, 16))
+    spacing = draw(st.sampled_from([4, *range(5, period + 1)]))
+    mu = draw(st.sampled_from([1.0, 0.5, 2.0]))
+    # binary fractions of the slot keep every boundary exact
+    offset = st.integers(0, 15).map(lambda k: mu * k / 16)
+    offsets = draw(st.none() | st.lists(offset, min_size=n, max_size=n))
+    wakes = draw(
+        st.dictionaries(st.integers(0, n - 1), st.integers(0, 2 * period), min_size=1)
+    )
+    horizon = draw(st.none() | st.integers(0, 64 * period).map(lambda k: mu * k / 8))
+    return topo, offsets, ActivationSchedule(wakes), period, spacing, mu, horizon
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(slot_runs(), st.data())
+def test_slot_run_matches_per_node_reference(run, data):
+    result, records = run_slots(*run)
+    expected, expected_records = _reference_run_slots(*run)
+    assert result == expected
+    assert records == expected_records
+    assert all(type(rec.beeped) is bool for rec in records)
+    n = run[0].node_count
+    for k in data.draw(st.lists(st.integers(0, len(records)), max_size=4)):
+        assert alignment_time(records[:k], n) == _reference_alignment_time(records[:k], n)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        (generate("line", 3), [0.0, 0.5, 0.25], ActivationSchedule({0: 0, 2: 0}), 12),
+        (generate("line", 4), [0.0] * 4, ActivationSchedule({0: 0}), 7),
+    ],
+    ids=["staggered-line-3", "zero-offsets-line-4"],
+)
+def test_criterion_09_runs_match_reference(run):
+    assert run_slots(*run) == _reference_run_slots(*run)
+
+
+def test_extension_is_input_sensitivity():
+    # a node extends its slot exactly when a heard beep changes its next config
+    for period in range(4, 41):
+        for spacing in (4, *range(5, period + 1)):
+            cps = compute_checkpoints(period, spacing)
+            table = extract_fast_automaton(period, spacing)
+            for s, cfg in enumerate(table.labels):
+                paper_rule = cfg.state is NodeState.INACTIVE or (
+                    cfg.state is NodeState.LISTEN and cps.is_pre_checkpoint(cfg.clock)
+                )
+                sensitive = table.beep_next[s] != table.silence_next[s]
+                assert sensitive == paper_rule, (period, spacing, cfg)
