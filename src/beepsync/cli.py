@@ -20,6 +20,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from itertools import product
 
 from .checkpoints import compute_checkpoints, sync_round_budget
 from .engine import (
@@ -33,6 +34,7 @@ from .engine import (
     write_trace_jsonl,
 )
 from .fsm import (
+    DEFAULT_NODE_BUDGET,
     NotConstructible,
     certify_no_sync,
     classify,
@@ -275,70 +277,43 @@ def _parse_range(text: str) -> range:
     return range(int(lo_text), int(hi_text) + 1)
 
 
-def _fast_row(key: tuple) -> dict:
-    kind, n, period, spacing, schedule_kind, seed, horizon = key
-    row = {
-        "mode": "fast",
-        "kind": kind,
-        "n": n,
-        "T": period,
-        "q": spacing,
-        "schedule": schedule_kind,
-        "seed": seed,
-    }
-    try:
-        topology = generate(
-            "random_connected" if kind == "random" else kind, n, seed=seed
-        )
-        if schedule_kind == "single":
-            schedule = random_schedule(n, seed, max_round=0, max_sources=1)
-        else:
-            schedule = random_schedule(n, seed, max_round=2 * period)
-        result, _ = run_fast(
-            topology, schedule, period, spacing=spacing,
-            horizon=horizon, record_trace=False,
-        )
-        row["sync_round"] = result.sync_round
-        row["bound"] = result.bound
-        row["ok"] = result.sync_round is not None and result.sync_round <= result.bound
-    except Exception as exc:
-        row["error"] = str(exc)
-        row["ok"] = False
-    return row
-
-
-def _stab_row(key: tuple) -> dict:
-    kind, n, period, spacing, seed, horizon = key
-    row = {
-        "mode": "selfstab",
-        "kind": kind,
-        "n": n,
-        "T": period,
-        "q": spacing,
-        "seed": seed,
-    }
-    try:
-        topology = generate(
-            "random_connected" if kind == "random" else kind, n, seed=seed
-        )
-        budget = sync_round_budget(n, period, spacing)
-        initial = random_configs(n, period, n, budget, seed)
-        result, _ = run_selfstab(
-            topology, initial, period, spacing=spacing, node_bound=n,
-            horizon=horizon, stability_window=4 * period, record_trace=False,
-        )
-        row["legitimate_round"] = result.legitimate_round
-        row["ok"] = result.legitimate_round is not None
-    except Exception as exc:
-        row["error"] = str(exc)
-        row["ok"] = False
-    return row
-
-
 SWEEP_FIELDS = (
     "mode", "kind", "n", "T", "q", "schedule", "seed",
     "sync_round", "legitimate_round", "bound", "ok", "error",
 )
+
+
+def _sweep_row(key: tuple) -> dict:
+    """One sweep row; ``key`` holds the row's first seven fields, then the horizon."""
+    mode, kind, n, period, spacing, schedule_kind, seed, horizon = key
+    row = dict(zip(SWEEP_FIELDS[:7], key))
+    try:
+        topology = generate("random_connected" if kind == "random" else kind, n, seed=seed)
+        if mode == "selfstab":
+            budget = sync_round_budget(n, period, spacing)
+            initial = random_configs(n, period, n, budget, seed)
+            result, _ = run_selfstab(
+                topology, initial, period, spacing=spacing, node_bound=n,
+                horizon=horizon, stability_window=4 * period, record_trace=False,
+            )
+            row["legitimate_round"] = result.legitimate_round
+            row["ok"] = result.legitimate_round is not None
+        else:
+            if schedule_kind == "single":
+                schedule = random_schedule(n, seed, max_round=0, max_sources=1)
+            else:
+                schedule = random_schedule(n, seed, max_round=2 * period)
+            result, _ = run_fast(
+                topology, schedule, period, spacing=spacing,
+                horizon=horizon, record_trace=False,
+            )
+            row["sync_round"] = result.sync_round
+            row["bound"] = result.bound
+            row["ok"] = result.sync_round is not None and result.sync_round <= result.bound
+    except Exception as exc:
+        row["error"] = str(exc)
+        row["ok"] = False
+    return row
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -346,34 +321,20 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     sizes = _parse_range(args.n_range)
     periods = _parse_range(args.T_range)
     seeds = range(args.seeds)
-    keys = []
-    if args.mode == "fast":
-        schedule_kinds = (
-            ("single", "multi") if args.schedule == "both" else (args.schedule,)
-        )
-        for kind in kinds:
-            for n in sizes:
-                for period in periods:
-                    for schedule_kind in schedule_kinds:
-                        for seed in seeds:
-                            keys.append(
-                                (kind, n, period, args.q, schedule_kind,
-                                 seed, args.horizon)
-                            )
-        worker = _fast_row
-    else:
-        for kind in kinds:
-            for n in sizes:
-                for period in periods:
-                    for seed in seeds:
-                        keys.append((kind, n, period, args.q, seed, args.horizon))
-        worker = _stab_row
+    schedule_kinds = ("single", "multi") if args.schedule == "both" else (args.schedule,)
+    if args.mode == "selfstab":
+        schedule_kinds = (None,)
+    keys = [
+        (args.mode, kind, n, period, args.q, schedule_kind, seed, args.horizon)
+        for kind, n, period, schedule_kind, seed
+        in product(kinds, sizes, periods, schedule_kinds, seeds)
+    ]
 
     if args.jobs > 1 and keys:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(worker, keys, chunksize=16))
+            rows = list(pool.map(_sweep_row, keys, chunksize=16))
     else:
-        rows = [worker(key) for key in keys]
+        rows = [_sweep_row(key) for key in keys]
 
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -449,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fsm.add_argument("--T", type=int, required=True)
     p_fsm.add_argument("--q", type=int, default=4)
     p_fsm.add_argument("--N", type=int, default=None)
-    p_fsm.add_argument("--budget", type=int, default=64, help="node budget")
+    p_fsm.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET, help="node budget")
     p_fsm.add_argument("--out", default=None, help="counterexample output path")
     p_fsm.set_defaults(func=_cmd_analyze_fsm)
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, count
 from operator import and_, attrgetter, is_not, itemgetter, ne, sub
@@ -47,7 +47,6 @@ from .fsm import (
     bit_flags,
     decode_masks,
     extract_fast_automaton,
-    neighbor_masks,
     state_masks,
 )
 from .selfstab import (
@@ -111,7 +110,6 @@ class SimResult:
     sync_round: int | None = None
     legitimate_round: int | None = None
     closure_verified: bool | None = None
-    invariant_violations: list[Violation] = field(default_factory=list)
     bound: int | None = None
     horizon: int = 0
     rounds_run: int = 0
@@ -218,16 +216,24 @@ class StabTrace:
         )
 
 
-@lru_cache(maxsize=64)
-def _fast_table(period: int, spacing: int) -> ProtocolAutomaton:
-    return extract_fast_automaton(period, spacing)
-
-
 # one table: grids visit their (period, node_bound) cells in turn, and a
 # table's columns grow with period * node_bound
 @lru_cache(maxsize=1)
 def _stab_table(period: int, spacing: int, node_bound: int) -> StabTable:
     return StabTable(period, spacing, node_bound)
+
+
+def fast_setup(
+    topology: Topology, schedule: ActivationSchedule, period: int, spacing: int
+) -> tuple[ProtocolAutomaton, int, int]:
+    """Checks the wake nodes; returns the fast table, the runtime bound of the
+    topology's diameter and the default horizon ``2 * bound + 4 * period``."""
+    for node in schedule.wake_round:
+        if not 0 <= node < topology.node_count:
+            raise ValueError(f"wake node {node} out of range")
+    table = extract_fast_automaton(period, spacing)
+    bound = fast_runtime_bound(topology.diameter, period, spacing)
+    return table, bound, 2 * bound + 4 * period
 
 
 def run_fast(
@@ -257,18 +263,14 @@ def run_fast(
         (result, trace); trace is None when recording is disabled.
     """
     n = topology.node_count
-    for node in schedule.wake_round:
-        if not 0 <= node < n:
-            raise ValueError(f"wake node {node} out of range")
-    table = _fast_table(period, spacing)
-    bound = fast_runtime_bound(topology.diameter, period, spacing)
+    table, bound, default_horizon = fast_setup(topology, schedule, period, spacing)
     if horizon is None:
-        horizon = 2 * bound + 4 * period
+        horizon = default_horizon
     offset = schedule.min_wake()
     woken: dict[int, int] = {}
     for node, rnd in schedule.wake_round.items():
         woken[rnd - offset] = woken.get(rnd - offset, 0) | 1 << node
-    neighbors = neighbor_masks(topology)
+    neighbors = topology.neighbor_masks
     clock_of = table.clock_of
 
     masks = {0: (1 << n) - 1}
@@ -589,7 +591,7 @@ def run_selfstab(
         validate_config(cfg, period, node_bound, budget)
 
     table = _stab_table(period, spacing, node_bound)
-    neighbors = neighbor_masks(topology)
+    neighbors = topology.neighbor_masks
     masks = state_masks([table.code(c) for c in initial])
     streak_start: int | None = None
     all_lock_round: int | None = None
@@ -721,7 +723,7 @@ def check_stab_invariants(trace: StabTrace, budget: int) -> list[Violation]:
     beep_masks = [sum(compress(bits, row)) for row in trace.beeped]
     columns = zip(
         zip(*post_rows), zip(*trace.round_counter), zip(*trace.beep_count),
-        neighbor_masks(trace.topology),
+        trace.topology.neighbor_masks,
     )
     listen, beep = StabState.LISTEN, StabState.BEEP
     pulse, lock, inactive = StabState.PULSE, StabState.LOCK, StabState.INACTIVE

@@ -24,7 +24,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from enum import Enum
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import compress
 from operator import or_
 from typing import Callable, Sequence
@@ -91,11 +91,6 @@ _FLAG_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 def bit_flags(mask: int) -> bytes:
     """One byte per bit of ``mask`` up to its highest set bit, lowest first: 1 if set."""
     return bin(mask)[:1:-1].encode().translate(_FLAG_BYTES)
-
-
-def neighbor_masks(topology: Topology) -> list[int]:
-    """Each node's neighbours as a node set, in the form ``advance`` takes."""
-    return [sum(1 << w for w in nbrs) for nbrs in topology.neighbors]
 
 
 def state_masks(ids: Sequence[int]) -> dict[int, int]:
@@ -325,7 +320,7 @@ def _global_run(
     Returns (sequence of configurations, index where the cycle starts); the
     sequence ends just before the first repeated configuration.
     """
-    nbr = neighbor_masks(topology)
+    nbr = topology.neighbor_masks
     n = topology.node_count
     seen: dict[tuple[int, ...], int] = {}
     seq: list[tuple[int, ...]] = []
@@ -452,6 +447,7 @@ def _explore(
     )
 
 
+@lru_cache(maxsize=64)
 def extract_fast_automaton(
     period: int, spacing: int = 4
 ) -> ProtocolAutomaton:

@@ -25,8 +25,7 @@ import heapq
 import math
 from dataclasses import dataclass
 
-from .checkpoints import fast_runtime_bound
-from .engine import ActivationSchedule, SimResult, _fast_table
+from .engine import ActivationSchedule, SimResult, fast_setup
 from .fast_protocol import (
     NodeState,
     step,  # unused here; benchmarks/tracing.py counts calls through slots.step
@@ -34,6 +33,9 @@ from .fast_protocol import (
 from .topology import Topology
 
 SLOT_FIELDS = ("node", "slot_index", "start_time", "end_time", "beeped", "clock")
+
+# most slots a time horizon may span per node; far above every default horizon
+MAX_SLOTS = 1 << 20
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,8 +73,9 @@ def run_slots(
         spacing: Checkpoint distance.
         slot_duration: Real-time length of an unextended slot; positive and
             finite.
-        time_horizon: Simulate events up to this finite time; defaults to
-            enough slots for synchronization plus a few periods.
+        time_horizon: Simulate events up to this finite time, at most
+            ``MAX_SLOTS`` slot durations; defaults to enough slots for
+            synchronization plus a few periods after the first wake.
 
     Returns:
         (result, records); result.sync_time is the earliest boundary from
@@ -89,15 +92,11 @@ def run_slots(
     for off in offsets:
         if not 0 <= off < mu:
             raise ValueError(f"offset {off} outside [0, {mu})")
-    for node in schedule.wake_round:
-        if not 0 <= node < n:
-            raise ValueError(f"wake node {node} out of range")
-    table = _fast_table(period, spacing)
+    table, _, slots_needed = fast_setup(topology, schedule, period, spacing)
     if time_horizon is None:
-        slots_needed = 2 * fast_runtime_bound(topology.diameter, period, spacing) + 4 * period
         time_horizon = max(offsets) + mu * (slots_needed + schedule.min_wake() + 2)
-    if not math.isfinite(time_horizon):
-        raise ValueError(f"time horizon must be finite, got {time_horizon}")
+    if not (math.isfinite(time_horizon) and time_horizon <= mu * MAX_SLOTS):
+        raise ValueError(f"time horizon {time_horizon} not finite or over {MAX_SLOTS} slots")
 
     beep_next, silence_next = table.beep_next, table.silence_next
     beeps, labels = table.beeps, table.labels

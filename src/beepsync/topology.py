@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from operator import or_
 
 
@@ -24,6 +24,11 @@ class Topology:
     edges: tuple[tuple[int, int], ...]
     neighbors: tuple[tuple[int, ...], ...]
     diameter: int
+
+    @cached_property
+    def neighbor_masks(self) -> tuple[int, ...]:
+        """Each node's neighbours as a node set (bit w for node w), built on first read."""
+        return tuple(sum(1 << w for w in nbrs) for nbrs in self.neighbors)
 
 
 def bfs_distances(neighbors: tuple[tuple[int, ...], ...], source: int) -> list[int]:
@@ -97,6 +102,8 @@ def build(edge_list: list[tuple[int, int]], node_count: int) -> Topology:
         if not (0 <= u < node_count and 0 <= v < node_count):
             raise ValueError(f"edge ({u}, {v}) out of range for {node_count} nodes")
         seen.add((u, v) if u < v else (v, u))
+    if len(seen) < node_count - 1:  # checked before allocating per-node lists
+        raise ValueError("graph is not connected")
     edges = tuple(sorted(seen))
     adj: list[list[int]] = [[] for _ in range(node_count)]
     for u, v in edges:

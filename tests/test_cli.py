@@ -1,10 +1,28 @@
+import contextlib
+import csv
+import io
 import json
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beepsync import engine
 from beepsync.checkpoints import sync_round_budget
-from beepsync.cli import main
+from beepsync.cli import (
+    EXIT_BOUND,
+    EXIT_OK,
+    EXIT_USAGE,
+    SWEEP_FIELDS,
+    _emit,
+    _parse_range,
+    build_parser,
+    main,
+    random_schedule,
+    run_fast,
+    run_selfstab,
+)
 from beepsync.selfstab import legitimate_configs, random_configs, save_configs
 from beepsync.topology import generate, save_topology
 
@@ -128,6 +146,16 @@ def test_topology_from_file(tmp_path, capsys):
     assert last_json(captured.out)["sync_round"] == 21
 
 
+def test_topology_file_with_too_few_edges_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "topo.txt"
+    path.write_text("n 300000000\n", encoding="utf-8")
+    code, captured = run_cli(
+        capsys, "run-fast", "--topology", f"file:{path}", "--T", "7", "--wake", "0=0",
+    )
+    assert code == 2
+    assert "not connected" in captured.err
+
+
 def test_run_selfstab_seeded(capsys):
     code, captured = run_cli(
         capsys, "run-selfstab", "--topology", "clique", "--n", "3",
@@ -217,6 +245,23 @@ def test_run_slots_non_finite_time_is_usage_error(capsys, option):
     )
     assert code == 2
     assert "finite" in captured.err
+
+
+@pytest.mark.parametrize(
+    "options",
+    [
+        ["--wake", "0=100000000"],
+        ["--wake", "0=0", "--time-horizon", "1e12"],
+        ["--wake", "0=0", "--slot-duration", "1e-12", "--time-horizon", "1"],
+    ],
+    ids=["far-wake", "time-horizon-1e12", "slot-duration-1e-12"],
+)
+def test_run_slots_over_slot_cap_is_usage_error(capsys, options):
+    code, captured = run_cli(
+        capsys, "run-slots", "--topology", "line", "--n", "2", "--T", "8", *options
+    )
+    assert code == 2
+    assert "slots" in captured.err
 
 
 def test_run_slots_short_horizon_is_bound_breach(capsys):
@@ -359,4 +404,166 @@ def test_sweep_selfstab_mode(capsys):
     assert summary["rows"] == 3
     assert summary["converged"] == 3
     assert summary["max_legitimate_round"] is not None
+
+
+# The sweep as it was with one row worker and one key loop per mode. Kept
+# verbatim as the reference the single row worker must reproduce: the same
+# CSV bytes, summary and exit code.
+def _reference_fast_row(key: tuple) -> dict:
+    kind, n, period, spacing, schedule_kind, seed, horizon = key
+    row = {
+        "mode": "fast",
+        "kind": kind,
+        "n": n,
+        "T": period,
+        "q": spacing,
+        "schedule": schedule_kind,
+        "seed": seed,
+    }
+    try:
+        topology = generate(
+            "random_connected" if kind == "random" else kind, n, seed=seed
+        )
+        if schedule_kind == "single":
+            schedule = random_schedule(n, seed, max_round=0, max_sources=1)
+        else:
+            schedule = random_schedule(n, seed, max_round=2 * period)
+        result, _ = run_fast(
+            topology, schedule, period, spacing=spacing,
+            horizon=horizon, record_trace=False,
+        )
+        row["sync_round"] = result.sync_round
+        row["bound"] = result.bound
+        row["ok"] = result.sync_round is not None and result.sync_round <= result.bound
+    except Exception as exc:
+        row["error"] = str(exc)
+        row["ok"] = False
+    return row
+
+
+def _reference_stab_row(key: tuple) -> dict:
+    kind, n, period, spacing, seed, horizon = key
+    row = {
+        "mode": "selfstab",
+        "kind": kind,
+        "n": n,
+        "T": period,
+        "q": spacing,
+        "seed": seed,
+    }
+    try:
+        topology = generate(
+            "random_connected" if kind == "random" else kind, n, seed=seed
+        )
+        budget = sync_round_budget(n, period, spacing)
+        initial = random_configs(n, period, n, budget, seed)
+        result, _ = run_selfstab(
+            topology, initial, period, spacing=spacing, node_bound=n,
+            horizon=horizon, stability_window=4 * period, record_trace=False,
+        )
+        row["legitimate_round"] = result.legitimate_round
+        row["ok"] = result.legitimate_round is not None
+    except Exception as exc:
+        row["error"] = str(exc)
+        row["ok"] = False
+    return row
+
+
+def _reference_sweep(args) -> int:
+    kinds = [k for k in args.kinds.split(",") if k]
+    sizes = _parse_range(args.n_range)
+    periods = _parse_range(args.T_range)
+    seeds = range(args.seeds)
+    keys = []
+    if args.mode == "fast":
+        schedule_kinds = (
+            ("single", "multi") if args.schedule == "both" else (args.schedule,)
+        )
+        for kind in kinds:
+            for n in sizes:
+                for period in periods:
+                    for schedule_kind in schedule_kinds:
+                        for seed in seeds:
+                            keys.append(
+                                (kind, n, period, args.q, schedule_kind,
+                                 seed, args.horizon)
+                            )
+        worker = _reference_fast_row
+    else:
+        for kind in kinds:
+            for n in sizes:
+                for period in periods:
+                    for seed in seeds:
+                        keys.append((kind, n, period, args.q, seed, args.horizon))
+        worker = _reference_stab_row
+
+    if args.jobs > 1 and keys:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            rows = list(pool.map(worker, keys, chunksize=16))
+    else:
+        rows = [worker(key) for key in keys]
+
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=SWEEP_FIELDS)
+            writer.writeheader()
+            for row in rows:
+                writer.writerow({field: row.get(field, "") for field in SWEEP_FIELDS})
+
+    sync_key = "sync_round" if args.mode == "fast" else "legitimate_round"
+    measured = [row[sync_key] for row in rows if row.get(sync_key) is not None]
+    errors = sum(1 for row in rows if "error" in row)
+    summary = {
+        "mode": args.mode,
+        "rows": len(rows),
+        "converged": len(measured),
+        "errors": errors,
+        "all_ok": all(row["ok"] for row in rows) if rows else True,
+        "max_" + sync_key: max(measured) if measured else None,
+        "mean_" + sync_key: (
+            round(sum(measured) / len(measured), 6) if measured else None
+        ),
+    }
+    _emit(summary)
+    if errors:
+        return EXIT_USAGE
+    if not summary["all_ok"]:
+        return EXIT_BOUND
+    return EXIT_OK
+
+
+SWEEP_KINDS = st.lists(
+    st.sampled_from(["line", "ring", "star", "clique", "random", "moebius"]),
+    min_size=1, max_size=2,
+)
+
+
+@st.composite
+def sweep_argv(draw):
+    lo_n = draw(st.integers(1, 5))
+    lo_t = draw(st.integers(3, 7))
+    argv = [
+        "sweep", "--mode", draw(st.sampled_from(["fast", "selfstab"])),
+        "--kinds", ",".join(draw(SWEEP_KINDS)),
+        "--n-range", f"{lo_n}:{lo_n + draw(st.sampled_from([1, 0, -1]))}",
+        "--T-range", f"{lo_t}:{lo_t + draw(st.integers(0, 1))}",
+        "--q", str(draw(st.integers(4, 6))),
+        "--seeds", str(draw(st.sampled_from([2, 1, 3, 0]))),
+        "--schedule", draw(st.sampled_from(["single", "multi", "both"])),
+    ]
+    horizon = draw(st.none() | st.integers(0, 40))
+    return argv if horizon is None else argv + ["--horizon", str(horizon)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(sweep_argv())
+def test_sweep_matches_reference(tmp_path_factory, argv):
+    out = tmp_path_factory.mktemp("sweep")
+    outputs = []
+    for run in (main, lambda a: _reference_sweep(build_parser().parse_args(a))):
+        path = out / f"rows{len(outputs)}.csv"
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+            code = run(argv + ["--out", str(path)])
+        outputs.append((code, stdout.getvalue(), path.read_bytes()))
+    assert outputs[0] == outputs[1]
 

@@ -156,6 +156,12 @@ def test_input_validation():
         run_slots(topo, None, single_source_schedule(0), 12, time_horizon=float("inf"))
     with pytest.raises(ValueError):
         run_slots(topo, None, single_source_schedule(0), 12, time_horizon=float("nan"))
+    with pytest.raises(ValueError):
+        run_slots(topo, None, single_source_schedule(0, 100_000_000), 12)
+    with pytest.raises(ValueError):
+        run_slots(topo, None, single_source_schedule(0), 12, time_horizon=1e12)
+    with pytest.raises(ValueError):
+        run_slots(topo, None, single_source_schedule(0), 12, slot_duration=1e-12, time_horizon=1)
 
 
 def test_slot_csv_export(tmp_path):

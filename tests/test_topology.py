@@ -41,6 +41,8 @@ def test_build_rejects_bad_input():
         build([(0, 5)], 3)
     with pytest.raises(ValueError):
         build([], 0)
+    with pytest.raises(ValueError, match="not connected"):
+        build([], 300_000_000)  # too few edges: rejected before allocating
 
 
 def test_build_ignores_edge_order():
