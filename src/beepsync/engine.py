@@ -53,6 +53,7 @@ from .selfstab import (
     StabNodeConfig,
     StabState,
     consistency_check,
+    counter_threshold,
     max_round_counter,
     stab_step,  # unused here; benchmarks/tracing.py counts calls through engine.stab_step
     validate_config,
@@ -216,11 +217,21 @@ class StabTrace:
         )
 
 
-# one table: grids visit their (period, node_bound) cells in turn, and a
-# table's columns grow with period * node_bound
-@lru_cache(maxsize=1)
-def _stab_table(period: int, spacing: int, node_bound: int) -> StabTable:
-    return StabTable(period, spacing, node_bound)
+# a table has 100 * period ids whatever the node bound, so grids keep the
+# table of every (period, spacing) they visit and fill each id once
+@lru_cache(maxsize=64)
+def _stab_table(
+    period: int, spacing: int
+) -> tuple[StabTable, list[StabState], list[int | None]]:
+    """The self-stab table, the state of each of its ids, and the clock of
+    each id whose config can be legitimate (beep or listen, not induced),
+    else None."""
+    table = StabTable(period, spacing)
+    # id s has head s % len(heads), so the heads repeat along the ids
+    heads = table.heads * (len(table.beeps) // len(table.heads))
+    fast = (StabState.BEEP, StabState.LISTEN)
+    legit = [clock if state in fast and not induced else None for clock, state, induced in heads]
+    return table, [state for _, state, _ in heads], legit
 
 
 def fast_setup(
@@ -590,9 +601,25 @@ def run_selfstab(
     for cfg in initial:
         validate_config(cfg, period, node_bound, budget)
 
-    table = _stab_table(period, spacing, node_bound)
+    table, states, legit_clocks = _stab_table(period, spacing)
     neighbors = topology.neighbor_masks
-    masks = state_masks([table.code(c) for c in initial])
+    beep_next = table.beep_next
+    pulses = table.pulses
+    restarts = table.restarts
+    threshold = {state: counter_threshold(state, node_bound, budget) for state in StabState}
+    nodes = range(n)
+    # Node v's round counter in round t is t - base[v] until it saturates.
+    # Its id says whether the counter has reached its state's threshold;
+    # due[v] is the round in which it does, and calendar maps a round to the
+    # nodes due in it. A restart moves a node's due round, so a calendar
+    # entry holds exactly the nodes due in its round.
+    base = [-c.round_counter for c in initial]
+    due = [b + threshold[c.state] for b, c in zip(base, initial)]
+    calendar: dict[int, int] = {}
+    for v, d in enumerate(due):
+        if d > 0:
+            calendar[d] = calendar.get(d, 0) | 1 << v
+    masks = state_masks([table.code(c, d <= 0) for c, d in zip(initial, due)])
     streak_start: int | None = None
     all_lock_round: int | None = None
     entered_pulse = False
@@ -605,27 +632,42 @@ def run_selfstab(
     prev_calm = False
     prev_pulse = 0
     rounds: list[dict[int, int]] = []
+    # (round, nodes, new base) of every restart, for the trace's round counters
+    restarted: list[tuple[int, int, int]] = []
 
     for t in range(horizon + 1):
         last_t = t
+        crossing = calendar.pop(t, 0)
+        if crossing:
+            for s, m in list(masks.items()):
+                moving = m & crossing
+                if moving:
+                    if moving == m:
+                        del masks[s]
+                    else:
+                        masks[s] = m ^ moving
+                    passed = s + table.passed_offset
+                    masks[passed] = masks.get(passed, 0) | moving
         pulse = 0
         clocks = set()  # None stands for a config that is not legitimate
         all_lock = True
         pulsing = any_lock = False
+        restarting = []
         for s, m in masks.items():
-            if table.beep_next[s] < 0:
+            if beep_next[s] < 0:
                 table.fill(s)
-            clock, state, induced = table.heads[s % len(table.heads)]
+            state = states[s]
             if state is StabState.LOCK:
                 any_lock = True
             else:
                 all_lock = False
                 if state is StabState.PULSE:
                     pulse |= m
-            fast = state is StabState.BEEP or state is StabState.LISTEN
-            clocks.add(clock if fast and not induced else None)
-            if table.pulses[s]:
+            clocks.add(legit_clocks[s])
+            if pulses[s]:
                 pulsing = True
+            if restarts[s]:
+                restarting.append((s, m))
         pulse_seen = pulse_seen or pulse != 0
         entered_pulse = entered_pulse or (t > 0 and pulse & ~prev_pulse != 0)
         prev_pulse = pulse
@@ -656,22 +698,46 @@ def run_selfstab(
             and t - streak_start >= stability_window
         ):
             break
-        masks, _ = advance(table, masks, neighbors)
+        masks, heard = advance(table, masks, neighbors)
+        for s, m in restarting:
+            on = m & heard
+            for moved, counter, nxt in (
+                (m ^ on, table.quiet_restart[s], table.silence_next[s]),
+                (on, table.loud_restart[s], beep_next[s]),
+            ):
+                if moved and counter >= 0:
+                    start = t + 1 - counter
+                    d = start + threshold[states[nxt]]
+                    for v in compress(nodes, bit_flags(moved)):
+                        if due[v] > t:
+                            calendar[due[v]] ^= 1 << v
+                        due[v] = d
+                    calendar[d] = calendar.get(d, 0) | moved
+                    if record_trace:
+                        restarted.append((t + 1, moved, start))
 
     trace = None
     if record_trace:
         trace = StabTrace(topology, period, spacing, node_bound, [], [], [], [], [], [])
+        saturation = max_round_counter(node_bound, budget)
+        width = len(table.heads)
+        restarted.reverse()
         rounds.reverse()
-        while rounds:
+        for t in range(len(rounds)):
             masks = rounds.pop()
-            configs = {s: table.config(s) for s in masks}
+            while restarted and restarted[-1][0] == t:
+                _, moved, start = restarted.pop()
+                for v in compress(nodes, bit_flags(moved)):
+                    base[v] = start
             ids = decode_masks(masks, n)
-            row = [configs[s] for s in ids]
-            trace.clocks.append([c.clock for c in row])
-            trace.states.append([c.state for c in row])
-            trace.induced.append([c.induced for c in row])
-            trace.round_counter.append([c.round_counter for c in row])
-            trace.beep_count.append([c.beep_count for c in row])
+            heads = [table.heads[s % width] for s in ids]
+            trace.clocks.append([h[0] for h in heads])
+            trace.states.append([h[1] for h in heads])
+            trace.induced.append([h[2] for h in heads])
+            trace.round_counter.append(
+                [t - b if t - b < saturation else saturation for b in base]
+            )
+            trace.beep_count.append([s % table.passed_offset // width for s in ids])
             trace.beeped.append([table.beeps[s] == 1 for s in ids])
     streak = 0 if streak_start is None else last_t - streak_start
     result = SimResult(

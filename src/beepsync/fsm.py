@@ -35,7 +35,7 @@ from .selfstab import (
     StabNodeConfig,
     StabState,
     consistency_check,
-    max_round_counter,
+    counter_threshold,
     stab_step,
     will_beep_stab,
 )
@@ -166,49 +166,79 @@ def repair_and_step(
 
 
 class StabTable:
-    """The self-stabilizing protocol's transition table over the whole
-    config domain of ``selfstab.validate_config``, filled lazily.
+    """The self-stabilizing protocol's transition table, filled lazily, on
+    ids that leave out the round counter.
 
-    The id of a config is ``(round_counter * 5 + beep_count) * len(heads)
-    + h``, where ``heads[h]`` is its (clock, state, induced). The entry of an
-    id is filled by :meth:`fill` before it is first stepped; until then
-    ``beep_next`` holds -1 there. ``beeps`` and ``pulses`` tell whether the
-    config beeps and pulses after the consistency repair.
+    ``stab_step`` reads a node's round counter only to see whether it has
+    reached the threshold of the node's state
+    (:func:`selfstab.counter_threshold`); otherwise the step counts it on or
+    restarts it. So an id keeps one bit of the counter, whether it has
+    passed that threshold: the id of (clock, state, induced, beep_count,
+    passed) is ``(passed * 5 + beep_count) * len(heads) + h``, where
+    ``heads[h]`` is (clock, state, induced). The thresholds depend on the
+    node bound and the ids do not, so the table serves every node bound:
+    the engine keeps the counters and moves a node from id ``s`` to
+    ``s + passed_offset`` in the round its counter reaches the threshold.
+
+    The entry of an id is filled by :meth:`fill` before it is first stepped;
+    until then ``beep_next`` holds -1 there. ``beeps`` and ``pulses`` tell
+    whether the config beeps and pulses after the consistency repair.
+    ``quiet_restart`` and ``loud_restart`` hold the successor's round
+    counter on silence and on a heard beep when the step restarts the
+    counter (0, or 1 after a repair), and -1 when it counts on; ``restarts``
+    is 1 where either of them restarts it.
     """
 
-    def __init__(self, period: int, spacing: int, node_bound: int) -> None:
-        self.node_bound = node_bound
+    def __init__(self, period: int, spacing: int) -> None:
         self.checkpoints = compute_checkpoints(period, spacing)
-        self.budget = sync_round_budget(node_bound, period, spacing)
+        # the fill steps configs under node bound 1: every bound gives the
+        # same successor ids, as only the thresholds depend on it
+        self._budget = sync_round_budget(1, period, spacing)
         self.heads = tuple(
             (c, state, i) for i in (False, True) for state in StabState for c in range(period)
         )
         self._head_ids = {head: h for h, head in enumerate(self.heads)}
-        size = (max_round_counter(node_bound, self.budget) + 1) * 5 * len(self.heads)
+        self.passed_offset = 5 * len(self.heads)
+        size = 2 * self.passed_offset
         self.beep_next = array("i", [-1]) * size
         self.silence_next = array("i", [-1]) * size
+        self.quiet_restart = array("b", [-1]) * size
+        self.loud_restart = array("b", [-1]) * size
+        self.restarts = bytearray(size)
         self.beeps = bytearray(size)
         self.pulses = bytearray(size)
 
-    def code(self, config: StabNodeConfig) -> int:
-        """The id of a config inside the domain."""
+    def code(self, config: StabNodeConfig, passed: bool) -> int:
+        """The id of a config whose counter has (or has not) passed its threshold."""
         head = self._head_ids[config.clock, config.state, config.induced]
-        return (config.round_counter * 5 + config.beep_count) * len(self.heads) + head
+        return passed * self.passed_offset + config.beep_count * len(self.heads) + head
 
-    def config(self, s: int) -> StabNodeConfig:
-        """The config of id ``s``."""
-        counters, head = divmod(s, len(self.heads))
-        return StabNodeConfig(*self.heads[head], *divmod(counters, 5))
+    def config(self, s: int, round_counter: int) -> StabNodeConfig:
+        """The config of id ``s`` with the given round counter."""
+        beep_count, head = divmod(s % self.passed_offset, len(self.heads))
+        return StabNodeConfig(*self.heads[head], round_counter, beep_count)
 
     def fill(self, s: int) -> None:
         """Fills the entry of id ``s``."""
+        passed = s >= self.passed_offset
+        state = self.heads[s % len(self.heads)][1]
+        # a counter of 1 lies below every threshold and steps to 2; one at
+        # the threshold steps past it; a successor counter of 0 or 1 is
+        # therefore a restart
+        counter = counter_threshold(state, 1, self._budget) if passed else 1
         checked, quiet, loud = repair_and_step(
-            self.config(s), self.checkpoints, self.node_bound, self.budget
+            self.config(s, counter), self.checkpoints, 1, self._budget
         )
         self.beeps[s] = will_beep_stab(checked)
         self.pulses[s] = checked.state is StabState.PULSE
-        self.silence_next[s] = self.code(quiet)
-        self.beep_next[s] = self.code(loud)
+        for nxt, successors, restarts in (
+            (quiet, self.silence_next, self.quiet_restart),
+            (loud, self.beep_next, self.loud_restart),
+        ):
+            restart = nxt.round_counter if nxt.round_counter < 2 else -1
+            restarts[s] = restart
+            self.restarts[s] |= restart >= 0
+            successors[s] = self.code(nxt, passed and restart < 0)
 
 
 @dataclass(frozen=True)

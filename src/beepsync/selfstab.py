@@ -65,6 +65,19 @@ def max_round_counter(node_bound: int, budget: int) -> int:
     return max(4 * node_bound, budget + 1)
 
 
+def counter_threshold(state: StabState, node_bound: int, budget: int) -> int:
+    """The smallest round counter at which :func:`stab_step` sees the
+    threshold of ``state`` reached: the counter it steps to reaches 4 in a
+    pulse and ``4 * node_bound`` in a lock or while inactive, and exceeds
+    ``budget`` in beep and listen. The step reads the counter nowhere else,
+    and every threshold lies below :func:`max_round_counter`."""
+    if state is StabState.PULSE:
+        return 3
+    if state is StabState.BEEP or state is StabState.LISTEN:
+        return budget
+    return 4 * node_bound - 1
+
+
 def consistency_check(config: StabNodeConfig, checkpoints: CheckpointSet) -> StabNodeConfig:
     """Locally repairs impossible fast-protocol configs.
 

@@ -121,6 +121,16 @@ def build(edge_list: list[tuple[int, int]], node_count: int) -> Topology:
 
 KINDS = ("line", "star", "clique", "ring", "random_connected")
 
+# Bounds on a generated graph, checked before its edge list is built. The
+# neighbour bitsets of n nodes take about n * n / 8 bytes, 32 MiB at
+# MAX_NODES, and the diameter of a ring or line takes a search from every
+# node: 14-24 s at n = 10,000 on a 2-core x86 box with Python 3.11. An edge
+# costs about 240 bytes across the edge list, its set and the adjacency
+# tuples (a 1,000-node clique peaks at 132 MiB RSS there), so MAX_EDGES
+# edges take about 250 MiB.
+MAX_NODES = 1 << 14
+MAX_EDGES = 1 << 20
+
 
 def generate(
     kind: str,
@@ -139,9 +149,26 @@ def generate(
 
     Returns:
         The Topology.
+
+    Raises:
+        ValueError: On an unknown kind, a size outside [1, MAX_NODES], or
+            more than MAX_EDGES edges (expected edges for random_connected).
     """
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
+    if size > MAX_NODES:
+        raise ValueError(f"size {size} exceeds the {MAX_NODES}-node limit")
+    pairs = size * (size - 1) // 2
+    if kind == "clique":
+        edge_count = pairs
+    elif kind == "random_connected":
+        edge_count = size - 1 + extra_edge_probability * (pairs - size + 1)
+    else:
+        edge_count = size
+    if edge_count > MAX_EDGES:
+        raise ValueError(
+            f"{kind} of {size} nodes has {edge_count:.0f} edges, over the {MAX_EDGES} limit"
+        )
     if kind == "line":
         edges = [(i, i + 1) for i in range(size - 1)]
     elif kind == "star":

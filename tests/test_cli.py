@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import time
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -154,6 +155,21 @@ def test_topology_file_with_too_few_edges_is_usage_error(tmp_path, capsys):
     )
     assert code == 2
     assert "not connected" in captured.err
+
+
+@pytest.mark.parametrize(
+    "kind, size, limit",
+    [("line", "300000000", "node limit"), ("clique", "100000", "node limit"),
+     ("clique", "2000", "edges")],
+)
+def test_oversized_topology_is_usage_error(capsys, kind, size, limit):
+    start = time.perf_counter()
+    code, captured = run_cli(
+        capsys, "run-fast", "--topology", kind, "--n", size, "--T", "7", "--wake", "0=0"
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert limit in captured.err
 
 
 def test_run_selfstab_seeded(capsys):

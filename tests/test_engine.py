@@ -641,6 +641,67 @@ def test_selfstab_tables_do_not_leak_between_node_bounds():
             assert run_selfstab(*run) == _reference_run_selfstab(*run)
 
 
+def assert_same_selfstab_run(run):
+    result, trace = run_selfstab(*run)
+    expected, expected_trace = _reference_run_selfstab(*run)
+    assert result == expected
+    for f in fields(StabTrace):
+        assert getattr(trace, f.name) == getattr(expected_trace, f.name), f.name
+    return trace
+
+
+def test_selfstab_counter_calendar_traps():
+    # line 0 - 1 - 2 - 3, N = 4, T = 12, q = 5
+    topo = generate("line", 4)
+    node_bound = 4
+    budget = sync_round_budget(node_bound, 12, 5)
+    saturation = max_round_counter(node_bound, budget)
+    listen, pulse, lock = StabState.LISTEN, StabState.PULSE, StabState.LOCK
+    initial = [
+        # pulses through rounds 0-3, so node 1 hears four beeps and pulses
+        # from round 4, before its counter reaches the budget in round
+        # `budget`: that old due round falls in node 1's lock and must not
+        # end the lock
+        StabNodeConfig(3, pulse, False, 0, 0),
+        StabNodeConfig(3, listen, False, 0, 0),
+        # a counter past the listen threshold, and one a round from saturation
+        StabNodeConfig(5, listen, False, budget + 1, 0),
+        StabNodeConfig(7, listen, False, saturation - 1, 0),
+    ]
+    trace = assert_same_selfstab_run((topo, initial, 12, 5, node_bound, 60, None))
+    states = [row[1] for row in trace.states]
+    assert states[4:9] == [pulse] * 4 + [lock]
+    assert budget in range(8, 8 + 4 * node_bound)
+    assert states[8:8 + 4 * node_bound] == [lock] * (4 * node_bound)
+    assert [row[3] for row in trace.round_counter][:3] == [saturation - 1, saturation, saturation]
+
+    # an inconsistent listener (clock 0) pulses with counter 0 after the
+    # repair and 1 after the same round's step; locks and inactive nodes
+    # start at or past their thresholds
+    initial = [
+        StabNodeConfig(0, listen, False, 9, 1),
+        StabNodeConfig(4, lock, False, 4 * node_bound - 1, 0),
+        StabNodeConfig(4, StabState.INACTIVE, True, saturation, 2),
+        StabNodeConfig(4, pulse, False, 3, 4),
+    ]
+    trace = assert_same_selfstab_run((topo, initial, 12, 5, node_bound, 30, None))
+    assert [row[0] for row in trace.round_counter][:3] == [9, 1, 2]
+    assert [row[1] for row in trace.states][:2] == [lock, StabState.INACTIVE]
+    assert [row[3] for row in trace.states][:2] == [pulse, lock]
+
+
+@pytest.mark.parametrize("node_bound", [None, 250], ids=["N=n", "N=2.5n"])
+def test_selfstab_matches_reference_on_ring_100(node_bound):
+    # far past the Hypothesis sizes: the 4N and budget thresholds are crossed
+    # with many calendar entries pending
+    topo = generate("ring", 100)
+    bound = 100 if node_bound is None else node_bound
+    budget = sync_round_budget(bound, 12, 5)
+    initial = random_configs(100, 12, bound, budget, seed=0)
+    trace = assert_same_selfstab_run((topo, initial, 12, 5, node_bound, None, 48))
+    assert trace.round_count() > 4 * bound
+
+
 # The trace consumers as they were before they worked per column and per
 # distinct config: the bodies are kept verbatim as references.
 

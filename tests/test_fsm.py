@@ -1,9 +1,11 @@
 import pytest
 
+from beepsync.checkpoints import sync_round_budget
 from beepsync.fsm import (
     Case,
     NotConstructible,
     ProtocolAutomaton,
+    StabTable,
     certify_no_sync,
     classify,
     extract_fast_automaton,
@@ -13,8 +15,16 @@ from beepsync.fsm import (
     format_automaton,
     load_automaton,
     parse_automaton,
+    repair_and_step,
     runtime_lower_bound_demo,
     save_automaton,
+)
+from beepsync.selfstab import (
+    StabNodeConfig,
+    StabState,
+    counter_threshold,
+    max_round_counter,
+    will_beep_stab,
 )
 from beepsync.topology import generate
 
@@ -284,3 +294,97 @@ def test_save_and_load(tmp_path):
     assert loaded.silence_next == auto.silence_next
     assert loaded.beeps == auto.beeps
     assert loaded.clock_of == auto.clock_of
+
+
+def table_stepper(table, node_bound, budget):
+    """One round of a node on the counter-free table, as the engine runs it.
+
+    The id holds whether the counter has reached its state's threshold. A
+    restarting step gives the new counter; otherwise the counter counts on
+    and saturates, and the calendar moves the node to its passed id in the
+    round the counter reaches the threshold. ``step(s, r, heard)`` steps
+    unpassed id ``s`` with counter ``r`` and returns the repaired config's
+    beep and pulse flags and the next config decoded from id and counter.
+    """
+    width = len(table.heads)
+    offset = table.passed_offset
+    # the threshold of each id's state
+    threshold = [counter_threshold(h[1], node_bound, budget) for h in table.heads] * 10
+    saturation = max_round_counter(node_bound, budget)
+
+    def step(s, r, heard):
+        if r >= threshold[s]:
+            s += offset
+        if table.beep_next[s] < 0:
+            table.fill(s)
+        nxt = table.beep_next[s] if heard else table.silence_next[s]
+        restart = table.loud_restart[s] if heard else table.quiet_restart[s]
+        counter = restart if restart >= 0 else min(r + 1, saturation)
+        if nxt < offset and counter == threshold[nxt]:
+            nxt += offset
+        assert (nxt >= offset) == (counter >= threshold[nxt]), (s, r, heard)
+        return table.beeps[s] == 1, table.pulses[s] == 1, table.config(nxt, counter)
+
+    assert len(threshold) == 2 * offset and offset == 5 * width
+    return step
+
+
+@pytest.mark.parametrize("period", range(4, 13))
+def test_stab_table_matches_repair_and_step_on_whole_domain(period):
+    # every in-domain config and input, every valid spacing, N in {1, 2, 3, 5}:
+    # the id without the counter, plus the counter rule, decodes to exactly
+    # the config repair_and_step gives
+    for spacing in (4, *range(5, period + 1)):
+        table = StabTable(period, spacing)
+        cps = table.checkpoints
+        for node_bound in (1, 2, 3, 5):
+            budget = sync_round_budget(node_bound, period, spacing)
+            step = table_stepper(table, node_bound, budget)
+            counters = range(max_round_counter(node_bound, budget) + 1)
+            for state in StabState:
+                for clock in range(period):
+                    for induced in (False, True):
+                        for b in range(5):
+                            s = table.code(StabNodeConfig(clock, state, induced, 0, b), False)
+                            for r in counters:
+                                config = StabNodeConfig(clock, state, induced, r, b)
+                                checked, quiet, loud = repair_and_step(
+                                    config, cps, node_bound, budget
+                                )
+                                flags = (will_beep_stab(checked), checked.state is StabState.PULSE)
+                                assert step(s, r, False) == (*flags, quiet), config
+                                assert step(s, r, True) == (*flags, loud), config
+        filled = [s for s, nxt in enumerate(table.beep_next) if nxt >= 0]
+        assert filled and all(
+            table.restarts[s] == (table.quiet_restart[s] >= 0 or table.loud_restart[s] >= 0)
+            for s in filled
+        )
+
+
+def test_stab_table_counter_traps():
+    table = StabTable(12, 5)
+    node_bound = 3
+    budget = sync_round_budget(node_bound, 12, 5)
+    saturation = max_round_counter(node_bound, budget)
+    listen, pulse, lock = StabState.LISTEN, StabState.PULSE, StabState.LOCK
+
+    stepper = table_stepper(table, node_bound, budget)
+
+    def step(config, heard=False):
+        s = table.code(config, False)
+        return stepper(s, config.round_counter, heard)[2]
+
+    # the repair resets the counter to 0, and the same round's step takes it to 1
+    assert step(StabNodeConfig(0, listen, False, 17, 2)) == StabNodeConfig(0, pulse, False, 1, 2)
+    # a counter already at a threshold: the step reads it as reached
+    assert step(StabNodeConfig(3, pulse, False, 3, 0)) == StabNodeConfig(3, lock, False, 0, 0)
+    assert step(StabNodeConfig(3, lock, False, 4 * node_bound - 1, 0)).state is StabState.INACTIVE
+    assert step(StabNodeConfig(3, listen, False, budget, 0), heard=True).state is pulse
+    assert step(StabNodeConfig(3, listen, False, budget - 1, 0), heard=True).state is listen
+    # one below a threshold: the calendar moves the node to its passed id
+    assert step(StabNodeConfig(3, lock, False, 4 * node_bound - 3, 0)) == StabNodeConfig(
+        3, lock, False, 4 * node_bound - 2, 0
+    )
+    # the counter saturates
+    at_top = StabNodeConfig(3, listen, False, saturation, 0)
+    assert step(at_top) == StabNodeConfig(4, listen, False, saturation, 0)

@@ -2,6 +2,8 @@ import pytest
 
 from beepsync.topology import (
     KINDS,
+    MAX_EDGES,
+    MAX_NODES,
     bfs_distances,
     build,
     format_topology,
@@ -116,6 +118,18 @@ def test_diameter_over_several_source_blocks(size):
     assert topo.diameter == max(
         max(bfs_distances(topo.neighbors, s)) for s in range(size)
     )
+
+
+def test_generate_rejects_oversized_graphs():
+    for kind in KINDS:
+        with pytest.raises(ValueError, match="node limit"):
+            generate(kind, MAX_NODES + 1, seed=0)
+    # a clique's and a random graph's (expected) edges count against MAX_EDGES
+    clique = next(n for n in range(2, MAX_NODES) if n * (n - 1) // 2 > MAX_EDGES)
+    with pytest.raises(ValueError, match="edges"):
+        generate("clique", clique)
+    with pytest.raises(ValueError, match="edges"):
+        generate("random_connected", 2000, seed=0, extra_edge_probability=0.6)
 
 
 def test_format_parse_round_trip():
