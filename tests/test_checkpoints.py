@@ -1,6 +1,7 @@
 import pytest
 
 from beepsync.checkpoints import (
+    MAX_PERIOD,
     CheckpointSet,
     compute_checkpoints,
     fast_runtime_bound,
@@ -66,6 +67,13 @@ def test_parameter_validation():
         compute_checkpoints(4, 5)
     with pytest.raises(ValueError):
         compute_checkpoints(10, 11)
+    compute_checkpoints(MAX_PERIOD, 4)
+    with pytest.raises(ValueError, match="limit"):
+        compute_checkpoints(MAX_PERIOD + 1, 4)
+    with pytest.raises(ValueError, match="limit"):
+        fast_runtime_bound(0, MAX_PERIOD + 1, 4)
+    with pytest.raises(ValueError, match="limit"):
+        sync_round_budget(2, MAX_PERIOD + 1, 4)
 
 
 def test_succ_frozen_values():

@@ -172,6 +172,30 @@ def test_oversized_topology_is_usage_error(capsys, kind, size, limit):
     assert limit in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, limit",
+    [
+        (("run-fast", "--topology", "line", "--n", "2", "--T", "100000000", "--wake", "0=0"),
+         "period 100000000 exceeds"),
+        (("analyze-fsm", "--protocol", "fast", "--T", "100000000"), "period 100000000 exceeds"),
+        (("sweep", "--kinds", "line", "--n-range", "2:100000000", "--T-range", "4:4",
+          "--seeds", "1", "--schedule", "single"), "--n-range reaches 100000000"),
+        (("sweep", "--mode", "selfstab", "--kinds", "line", "--n-range", "2:3",
+          "--T-range", "5:100000000", "--seeds", "1"), "--T-range reaches 100000000"),
+        (("analyze-fsm", "--protocol", "selfstab", "--T", "64", "--N", "4000"),
+         "self-stabilizing configs"),
+    ],
+    ids=["run-fast-period", "fsm-fast-period", "sweep-n-range", "sweep-T-range",
+         "fsm-selfstab-domain"],
+)
+def test_oversized_period_range_or_automaton_is_usage_error(capsys, argv, limit):
+    start = time.perf_counter()
+    code, captured = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert limit in captured.err
+
+
 def test_run_selfstab_seeded(capsys):
     code, captured = run_cli(
         capsys, "run-selfstab", "--topology", "clique", "--n", "3",

@@ -700,6 +700,8 @@ def test_selfstab_matches_reference_on_ring_100(node_bound):
     initial = random_configs(100, 12, bound, budget, seed=0)
     trace = assert_same_selfstab_run((topo, initial, 12, 5, node_bound, None, 48))
     assert trace.round_count() > 4 * bound
+    # a self-stabilizing run never reads the diameter, so it is never computed
+    assert "diameter" not in topo.__dict__
 
 
 # The trace consumers as they were before they worked per column and per

@@ -1,11 +1,15 @@
+from dataclasses import fields
+
 import pytest
 
-from beepsync.checkpoints import sync_round_budget
+from beepsync.checkpoints import compute_checkpoints, sync_round_budget
+from beepsync.engine import run_selfstab
 from beepsync.fsm import (
+    MAX_STAB_CONFIGS,
     Case,
     NotConstructible,
     ProtocolAutomaton,
-    StabTable,
+    build_stab_table,
     certify_no_sync,
     classify,
     extract_fast_automaton,
@@ -24,6 +28,7 @@ from beepsync.selfstab import (
     StabState,
     counter_threshold,
     max_round_counter,
+    random_configs,
     will_beep_stab,
 )
 from beepsync.topology import generate
@@ -237,6 +242,19 @@ def test_selfstab_two_node_demo_beats_the_period():
         assert got == expected
 
 
+def test_selfstab_extraction_refuses_a_domain_over_the_cap():
+    # 50 * T * (max_round_counter + 1) configs: 33,600 at T=16, q=4, N=10,
+    # over two million at T=32, N=320
+    assert 50 * 16 * (max_round_counter(10, sync_round_budget(10, 16, 4)) + 1) == 33_600
+    assert extract_selfstab_automaton(16, 4, 10).state_count == 5365
+    with pytest.raises(ValueError, match="limit"):
+        extract_selfstab_automaton(32, 4, 320)
+    # the largest node bound under the cap at T=16, q=4
+    assert 50 * 16 * (max_round_counter(327, sync_round_budget(327, 16, 4)) + 1) <= MAX_STAB_CONFIGS
+    with pytest.raises(ValueError, match="limit"):
+        extract_selfstab_automaton(16, 4, 328)
+
+
 def test_extracted_selfstab_automaton_yields_counterexample():
     # node_bound 2 undercounts the 16-node clique, so the usual convergence
     # guarantee does not apply and the construction genuinely never syncs
@@ -306,26 +324,27 @@ def table_stepper(table, node_bound, budget):
     unpassed id ``s`` with counter ``r`` and returns the repaired config's
     beep and pulse flags and the next config decoded from id and counter.
     """
-    width = len(table.heads)
     offset = table.passed_offset
     # the threshold of each id's state
-    threshold = [counter_threshold(h[1], node_bound, budget) for h in table.heads] * 10
+    threshold = [counter_threshold(state, node_bound, budget) for state in table.state]
     saturation = max_round_counter(node_bound, budget)
 
     def step(s, r, heard):
         if r >= threshold[s]:
             s += offset
-        if table.beep_next[s] < 0:
-            table.fill(s)
         nxt = table.beep_next[s] if heard else table.silence_next[s]
         restart = table.loud_restart[s] if heard else table.quiet_restart[s]
         counter = restart if restart >= 0 else min(r + 1, saturation)
         if nxt < offset and counter == threshold[nxt]:
             nxt += offset
         assert (nxt >= offset) == (counter >= threshold[nxt]), (s, r, heard)
-        return table.beeps[s] == 1, table.pulses[s] == 1, table.config(nxt, counter)
+        config = StabNodeConfig(
+            table.clock[nxt], table.state[nxt], table.induced[nxt], counter,
+            table.beep_count[nxt],
+        )
+        return table.beeps[s], table.pulses[s], config
 
-    assert len(threshold) == 2 * offset and offset == 5 * width
+    assert len(threshold) == 2 * offset
     return step
 
 
@@ -335,8 +354,8 @@ def test_stab_table_matches_repair_and_step_on_whole_domain(period):
     # the id without the counter, plus the counter rule, decodes to exactly
     # the config repair_and_step gives
     for spacing in (4, *range(5, period + 1)):
-        table = StabTable(period, spacing)
-        cps = table.checkpoints
+        table = build_stab_table(period, spacing)
+        cps = compute_checkpoints(period, spacing)
         for node_bound in (1, 2, 3, 5):
             budget = sync_round_budget(node_bound, period, spacing)
             step = table_stepper(table, node_bound, budget)
@@ -354,15 +373,41 @@ def test_stab_table_matches_repair_and_step_on_whole_domain(period):
                                 flags = (will_beep_stab(checked), checked.state is StabState.PULSE)
                                 assert step(s, r, False) == (*flags, quiet), config
                                 assert step(s, r, True) == (*flags, loud), config
-        filled = [s for s, nxt in enumerate(table.beep_next) if nxt >= 0]
-        assert filled and all(
-            table.restarts[s] == (table.quiet_restart[s] >= 0 or table.loud_restart[s] >= 0)
-            for s in filled
+
+
+@pytest.mark.parametrize("period, spacing", [(4, 4), (5, 5), (12, 5), (16, 4), (16, 16)])
+def test_stab_table_entries_are_valid_ids(period, spacing):
+    table = build_stab_table(period, spacing)
+    ids = range(100 * period)
+    assert table.passed_offset * 2 == len(ids)
+    for column in fields(table)[1:]:
+        assert len(getattr(table, column.name)) == len(ids), column.name
+    assert set(table.beep_next) <= set(ids) and set(table.silence_next) <= set(ids)
+    assert set(table.quiet_restart) | set(table.loud_restart) <= {-1, 0, 1}
+    for s in ids:
+        config = StabNodeConfig(
+            table.clock[s], table.state[s], table.induced[s], 0, table.beep_count[s]
         )
+        # the columns decode every id back to itself
+        assert table.code(config, s >= table.passed_offset) == s
+        assert table.restarts[s] == (table.quiet_restart[s] >= 0 or table.loud_restart[s] >= 0)
+
+
+def test_stab_table_is_built_once_per_period_and_spacing():
+    build_stab_table.cache_clear()
+    topo = generate("ring", 4)
+    for node_bound in (4, 7, 40):
+        budget = sync_round_budget(node_bound, 10, 5)
+        initial = random_configs(4, 10, node_bound, budget, seed=node_bound)
+        run_selfstab(topo, initial, 10, 5, node_bound=node_bound, horizon=50)
+    table = build_stab_table(10, 5)
+    assert build_stab_table(10, 5) is table
+    info = build_stab_table.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
 
 
 def test_stab_table_counter_traps():
-    table = StabTable(12, 5)
+    table = build_stab_table(12, 5)
     node_bound = 3
     budget = sync_round_budget(node_bound, 12, 5)
     saturation = max_round_counter(node_bound, budget)

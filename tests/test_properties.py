@@ -93,8 +93,9 @@ def test_topology_text_round_trip(data, topo):
     text = data.draw(with_noise(format_topology(topo)))
     again = parse_topology(text)
     assert again == topo
-    # the neighbour bitsets are cached on first read, outside the fields
+    # the neighbour bitsets and the diameter are cached on first read, outside the fields
     assert topo.neighbor_masks == tuple(sum(1 << w for w in nbrs) for nbrs in topo.neighbors)
+    assert topo.diameter == again.diameter
     assert again == topo and hash(again) == hash(topo)
 
 
