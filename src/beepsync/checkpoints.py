@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 # The largest period. Every transition table is built from a checkpoint set,
 # so a larger period is refused here before any table is allocated. At the
 # cap the fast table (2 * period states) builds in 0.08 s, and the
-# self-stabilizing table (100 * period ids) in 7.0 s at 164 MiB peak RSS, on
-# a 2-core x86 box with Python 3.11.
+# self-stabilizing table (100 * period ids) in 5.8-6.9 s at 117 MiB peak
+# RSS, on a 2-core x86 box with Python 3.11.
 MAX_PERIOD = 1 << 12
 
 

@@ -316,6 +316,11 @@ def _sweep_row(key: tuple) -> dict:
     return row
 
 
+# The most rows one sweep runs. A sweep holds every row's key and result
+# until it writes them, about 450 bytes a row: 450 MiB at the cap.
+MAX_SWEEP_ROWS = 1 << 20
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     kinds = [k for k in args.kinds.split(",") if k]
     sizes = _parse_range(args.n_range)
@@ -330,6 +335,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     schedule_kinds = ("single", "multi") if args.schedule == "both" else (args.schedule,)
     if args.mode == "selfstab":
         schedule_kinds = (None,)
+    row_count = len(kinds) * len(sizes) * len(periods) * len(schedule_kinds) * len(seeds)
+    if row_count > MAX_SWEEP_ROWS:
+        raise ValueError(f"sweep of {row_count} rows is over the {MAX_SWEEP_ROWS} limit")
     keys = [
         (args.mode, kind, n, period, args.q, schedule_kind, seed, args.horizon)
         for kind, n, period, schedule_kind, seed

@@ -42,7 +42,6 @@ from .fast_protocol import (
 from .fsm import (
     ProtocolAutomaton,
     advance,
-    bit_flags,
     build_stab_table,
     decode_masks,
     extract_fast_automaton,
@@ -57,7 +56,7 @@ from .selfstab import (
     stab_step,  # unused here; benchmarks/tracing.py counts calls through engine.stab_step
     validate_config,
 )
-from .topology import Topology
+from .topology import Topology, bit_flags
 
 
 @dataclass(frozen=True)
@@ -105,7 +104,14 @@ class Violation:
 
 @dataclass
 class SimResult:
-    """Outcome summary of one engine run."""
+    """Outcome summary of one engine run.
+
+    ``rounds_run`` is the last round an engine simulated. A traced
+    ``run_fast`` runs to ``horizon``; an untraced one stops in the round it
+    finds ``sync_round``, and runs to ``horizon`` when it never syncs.
+    ``run_selfstab`` stops at ``horizon`` or once its stability window has
+    held. ``run_slots`` reports the most slots any node completed.
+    """
 
     sync_round: int | None = None
     legitimate_round: int | None = None
@@ -250,7 +256,8 @@ def run_fast(
         spacing: Checkpoint distance.
         horizon: Normalized rounds to simulate; defaults to twice the
             runtime bound plus four periods.
-        record_trace: Disable to save memory on large sweeps.
+        record_trace: Disable to save memory on large sweeps; an untraced
+            run stops in the round it finds ``sync_round``.
 
     Returns:
         (result, trace); trace is None when recording is disabled.
@@ -263,21 +270,25 @@ def run_fast(
     woken: dict[int, int] = {}
     for node, rnd in schedule.wake_round.items():
         woken[rnd - offset] = woken.get(rnd - offset, 0) | 1 << node
-    neighbors = topology.neighbor_masks
+    neighborhood = topology.neighborhood
     clock_of = table.clock_of
 
     masks = {0: (1 << n) - 1}
     sync_round: int | None = None
     rounds: list[tuple[dict[int, int], int]] = []
     for t in range(horizon + 1):
-        masks, heard = advance(table, masks, neighbors, woken.get(t, 0))
+        masks, heard = advance(table, masks, neighborhood, woken.get(t, 0))
         if record_trace:
             rounds.append((masks, heard))
         if sync_round is None and 0 not in masks and len({clock_of[s] for s in masks}) == 1:
             sync_round = t
+            if not record_trace:
+                # nothing an untraced result reports changes after sync_round
+                break
 
     result = SimResult(
-        sync_round=sync_round, bound=bound, horizon=horizon, rounds_run=horizon
+        sync_round=sync_round, bound=bound, horizon=horizon,
+        rounds_run=horizon if record_trace or sync_round is None else sync_round,
     )
     if not record_trace:
         return result, None
@@ -584,7 +595,7 @@ def run_selfstab(
         validate_config(cfg, period, node_bound, budget)
 
     table = build_stab_table(period, spacing)
-    neighbors = topology.neighbor_masks
+    neighborhood = topology.neighborhood
     states = table.state
     legit_clocks = table.legit_clock
     beep_next = table.beep_next
@@ -680,7 +691,7 @@ def run_selfstab(
             and t - streak_start >= stability_window
         ):
             break
-        masks, heard = advance(table, masks, neighbors)
+        masks, heard = advance(table, masks, neighborhood)
         for s, m in restarting:
             on = m & heard
             for moved, counter, nxt in (

@@ -23,9 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import compress, product
-from operator import or_
 from typing import Callable, Sequence
 
 from .fast_protocol import INACTIVE_CONFIG, RoundInput, step, will_beep
@@ -39,7 +38,7 @@ from .selfstab import (
     stab_step,
     will_beep_stab,
 )
-from .topology import Topology, generate
+from .topology import Topology, bit_flags, generate
 
 DEFAULT_NODE_BUDGET = 64
 
@@ -85,14 +84,6 @@ class ProtocolAutomaton:
         return len(self.beeps)
 
 
-_FLAG_BYTES = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def bit_flags(mask: int) -> bytes:
-    """One byte per bit of ``mask`` up to its highest set bit, lowest first: 1 if set."""
-    return bin(mask)[:1:-1].encode().translate(_FLAG_BYTES)
-
-
 def state_masks(ids: Sequence[int]) -> dict[int, int]:
     """The node set of each state occupied in the per-node ``ids``."""
     masks: dict[int, int] = {}
@@ -115,17 +106,18 @@ def decode_masks(masks: dict[int, int], node_count: int) -> list[int]:
 def advance(
     table: ProtocolAutomaton | StabTable,
     masks: dict[int, int],
-    neighbor_masks: Sequence[int],
+    neighborhood: Callable[[int], int],
     woken: int = 0,
 ) -> tuple[dict[int, int], int]:
     """Steps every node of a network through one round of ``table`` at once.
 
     A node set is an int whose bit v stands for node v. ``masks`` maps each
-    occupied state id to its nodes, and ``neighbor_masks[v]`` holds the
-    neighbours of node v. A node hears a beep when some neighbour sits in a
-    beeping state; a node in state 0 whose bit is set in ``woken`` takes the
-    beep input as well. Only ``table.beeps``, ``table.beep_next`` and
-    ``table.silence_next`` are read, at the occupied ids.
+    occupied state id to its nodes, and ``neighborhood`` maps a node set to
+    the nodes adjacent to it (``Topology.neighborhood``). A node hears a beep
+    when some neighbour sits in a beeping state; a node in state 0 whose bit
+    is set in ``woken`` takes the beep input as well. Only ``table.beeps``,
+    ``table.beep_next`` and ``table.silence_next`` are read, at the occupied
+    ids.
 
     Returns:
         (the next masks, without empty entries; the nodes that heard).
@@ -135,7 +127,7 @@ def advance(
     for s, m in masks.items():
         if beeps[s]:
             beeping |= m
-    heard = reduce(or_, compress(neighbor_masks, bit_flags(beeping)), 0)
+    heard = neighborhood(beeping)
     beep_next = table.beep_next
     silence_next = table.silence_next
     nxt: dict[int, int] = {}
@@ -236,7 +228,9 @@ def build_stab_table(period: int, spacing: int) -> StabTable:
     checkpoints = compute_checkpoints(period, spacing)
     budget = sync_round_budget(1, period, spacing)
     fast = (StabState.BEEP, StabState.LISTEN)
-    rows = []
+    columns: tuple[list, ...] = tuple([] for _ in range(12))
+    (beep_next, silence_next, beeps, pulses, quiet_restarts, loud_restarts, restarts,
+     states, clocks, induceds, beep_counts, legit_clocks) = columns
     for passed, beep_count, induced, state, clock in product(
         (False, True), range(5), (False, True), StabState, range(period)
     ):
@@ -246,15 +240,19 @@ def build_stab_table(period: int, spacing: int) -> StabTable:
         quiet_restart, loud_restart = (
             nxt.round_counter if nxt.round_counter < 2 else -1 for nxt in (quiet, loud)
         )
-        rows.append((
-            _stab_id(period, loud, passed and loud_restart < 0),
-            _stab_id(period, quiet, passed and quiet_restart < 0),
-            will_beep_stab(checked), checked.state is StabState.PULSE,
-            quiet_restart, loud_restart, quiet_restart >= 0 or loud_restart >= 0,
-            state, clock, induced, beep_count,
-            clock if state in fast and not induced else None,
-        ))
-    return StabTable(period, *map(tuple, zip(*rows)))
+        beep_next.append(_stab_id(period, loud, passed and loud_restart < 0))
+        silence_next.append(_stab_id(period, quiet, passed and quiet_restart < 0))
+        beeps.append(will_beep_stab(checked))
+        pulses.append(checked.state is StabState.PULSE)
+        quiet_restarts.append(quiet_restart)
+        loud_restarts.append(loud_restart)
+        restarts.append(quiet_restart >= 0 or loud_restart >= 0)
+        states.append(state)
+        clocks.append(clock)
+        induceds.append(induced)
+        beep_counts.append(beep_count)
+        legit_clocks.append(clock if state in fast and not induced else None)
+    return StabTable(period, *map(tuple, columns))
 
 
 @dataclass(frozen=True)
@@ -366,7 +364,6 @@ def _global_run(
     Returns (sequence of configurations, index where the cycle starts); the
     sequence ends just before the first repeated configuration.
     """
-    nbr = topology.neighbor_masks
     n = topology.node_count
     seen: dict[tuple[int, ...], int] = {}
     seq: list[tuple[int, ...]] = []
@@ -375,7 +372,7 @@ def _global_run(
     while config not in seen:
         seen[config] = len(seq)
         seq.append(config)
-        masks, _ = advance(automaton, masks, nbr)
+        masks, _ = advance(automaton, masks, topology.neighborhood)
         config = tuple(decode_masks(masks, n))
     return seq, seen[config]
 

@@ -184,9 +184,11 @@ def test_oversized_topology_is_usage_error(capsys, kind, size, limit):
           "--T-range", "5:100000000", "--seeds", "1"), "--T-range reaches 100000000"),
         (("analyze-fsm", "--protocol", "selfstab", "--T", "64", "--N", "4000"),
          "self-stabilizing configs"),
+        (("sweep", "--kinds", "line", "--n-range", "2:3", "--T-range", "4:4",
+          "--seeds", "100000000", "--schedule", "single"), "sweep of 200000000 rows"),
     ],
     ids=["run-fast-period", "fsm-fast-period", "sweep-n-range", "sweep-T-range",
-         "fsm-selfstab-domain"],
+         "fsm-selfstab-domain", "sweep-rows"],
 )
 def test_oversized_period_range_or_automaton_is_usage_error(capsys, argv, limit):
     start = time.perf_counter()

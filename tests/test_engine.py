@@ -407,9 +407,9 @@ def _reference_run_fast(topology, schedule, period, spacing=4, horizon=None, rec
 
 
 @st.composite
-def fast_runs(draw):
+def fast_runs(draw, max_nodes=12):
     kind = draw(st.sampled_from(KINDS))
-    n = draw(st.integers(2 if kind == "star" else 1, 12))
+    n = draw(st.integers(2 if kind == "star" else 1, max_nodes))
     topo = generate(kind, n, seed=draw(st.integers(0, 2**16)))
     period = draw(st.integers(4, 16))
     spacing = draw(st.sampled_from([4, *range(5, period + 1)]))
@@ -439,7 +439,24 @@ def test_untraced_run_matches_per_node_reference(run):
     result, trace = run_fast(*run, record_trace=False)
     expected, _ = _reference_run_fast(*run, record_trace=False)
     assert trace is None
+    # an untraced run stops in the round it finds sync_round
+    if expected.sync_round is not None:
+        expected.rounds_run = expected.sync_round
     assert result == expected
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(fast_runs(max_nodes=40))
+def test_untraced_run_stops_at_its_sync_round(run):
+    """Rings and lines of 33 to 40 nodes take their neighbourhoods by shifts."""
+    traced, _ = run_fast(*run)
+    expected, _ = _reference_run_fast(*run)
+    assert traced == expected
+    result, _ = run_fast(*run, record_trace=False)
+    kept = ("sync_round", "bound", "horizon")
+    assert [getattr(result, k) for k in kept] == [getattr(traced, k) for k in kept]
+    synced = result.sync_round is not None
+    assert result.rounds_run == (result.sync_round if synced else result.horizon)
 
 
 def _reference_run_selfstab(

@@ -1,5 +1,6 @@
 """Hypothesis property tests: text-format round trips, the bitset diameter,
-the two-node demo and the table kernel's global run.
+neighbourhoods by edge offset, the two-node demo and the table kernel's
+global run.
 
 Every test is derandomized so the suite stays deterministic, and runs
 without a per-example deadline.
@@ -21,7 +22,14 @@ from beepsync.fsm import (
     runtime_lower_bound_demo,
 )
 from beepsync.selfstab import StabNodeConfig, StabState, format_configs, parse_configs
-from beepsync.topology import bfs_distances, build, format_topology, parse_topology
+from beepsync.topology import (
+    KINDS,
+    bfs_distances,
+    build,
+    format_topology,
+    generate,
+    parse_topology,
+)
 
 PROPERTY = settings(derandomize=True, deadline=None)
 
@@ -97,6 +105,51 @@ def test_topology_text_round_trip(data, topo):
     assert topo.neighbor_masks == tuple(sum(1 << w for w in nbrs) for nbrs in topo.neighbors)
     assert topo.diameter == again.diameter
     assert again == topo and hash(again) == hash(topo)
+
+
+@st.composite
+def neighborhood_cases(draw):
+    """A graph of every kind, or a grid, with 1 to 40 nodes, possibly read
+    back from its text form, and a node set of it."""
+    kind = draw(st.sampled_from((*KINDS, "grid")))
+    n = draw(st.integers(2 if kind == "star" else 1, 40))
+    if kind == "grid":
+        width = draw(st.integers(1, n))
+        edges = [(u, u + 1) for u in range(n - 1) if (u + 1) % width]
+        edges += [(u, u + width) for u in range(n - width)]
+        topo = build(edges, n)
+    else:
+        topo = generate(kind, n, seed=draw(st.integers(0, 2**16)))
+    if draw(st.booleans()):
+        topo = parse_topology(format_topology(topo))
+    return topo, draw(st.integers(0, (1 << n) - 1))
+
+
+def or_of_neighbor_sets(topo, nodes):
+    near = 0
+    for v, mask in enumerate(topo.neighbor_masks):
+        if nodes >> v & 1:
+            near |= mask
+    return near
+
+
+@PROPERTY
+@given(neighborhood_cases())
+def test_neighborhood_is_or_of_neighbor_sets(case):
+    topo, nodes = case
+    assert topo.neighborhood(nodes) == or_of_neighbor_sets(topo, nodes)
+
+
+@pytest.mark.parametrize(
+    "kind, shifted",
+    [("ring", True), ("line", True), ("star", False), ("clique", False),
+     ("random_connected", False)],
+)
+def test_neighborhood_shifts_only_on_few_edge_offsets(kind, shifted):
+    topo = generate(kind, 40, seed=3)
+    assert bool(topo.bands) is shifted
+    for nodes in (0, 1, 1 << 39, 0b1011 << 17, (1 << 40) - 1):
+        assert topo.neighborhood(nodes) == or_of_neighbor_sets(topo, nodes)
 
 
 @PROPERTY
