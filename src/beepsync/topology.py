@@ -6,7 +6,8 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import compress
+from itertools import compress, repeat
+from math import ceil, floor
 from operator import or_
 
 # A graph takes its neighbourhoods by shifts when it has fewer than
@@ -168,12 +169,13 @@ KINDS = ("line", "star", "clique", "ring", "random_connected")
 
 # Bounds on a generated graph, checked before its edge list is built. The
 # neighbour bitsets of n nodes take about n * n / 8 bytes, 32 MiB at
-# MAX_NODES, and the diameter of a ring or line, once a fast or slot run
-# reads it, takes a search from every node: 14-24 s at n = 10,000 on a
-# 2-core x86 box with Python 3.11. An edge
-# costs about 240 bytes across the edge list, its set and the adjacency
-# tuples (a 1,000-node clique peaks at 132 MiB RSS there), so MAX_EDGES
-# edges take about 250 MiB.
+# MAX_NODES, and random_connected draws 64 random bits per node pair:
+# 3.3 s at n = 10,000 and 8 s at MAX_NODES, with edge probability 2 / n,
+# on a 2-core x86 box with Python 3.11 (generate knows the other kinds'
+# diameters; a search from every node takes 29 s on a 10,000-node ring
+# read from a file). An edge costs about 240 bytes across the edge list,
+# its set and the adjacency tuples (a 1,000-node clique peaks at 132 MiB
+# RSS there), so MAX_EDGES edges take about 250 MiB.
 MAX_NODES = 1 << 14
 MAX_EDGES = 1 << 20
 
@@ -215,33 +217,56 @@ def generate(
         raise ValueError(
             f"{kind} of {size} nodes has {edge_count:.0f} edges, over the {MAX_EDGES} limit"
         )
+    diameter = None  # known in closed form for every kind but random_connected
     if kind == "line":
         edges = [(i, i + 1) for i in range(size - 1)]
+        diameter = size - 1
     elif kind == "star":
         if size < 2:
             raise ValueError("star needs at least 2 nodes")
         edges = [(0, i) for i in range(1, size)]
+        diameter = min(size - 1, 2)
     elif kind == "clique":
         edges = [(u, v) for u in range(size) for v in range(u + 1, size)]
+        diameter = min(size - 1, 1)
     elif kind == "ring":
         if size <= 2:
             edges = [(i, i + 1) for i in range(size - 1)]
         else:
             edges = [(i, (i + 1) % size) for i in range(size)]
+        diameter = size // 2
     elif kind == "random_connected":
         if seed is None:
             raise ValueError("random_connected requires a seed")
         edges = _random_connected_edges(size, seed, extra_edge_probability)
     else:
         raise ValueError(f"unknown topology kind {kind!r}")
-    return build(edges, size)
+    topology = build(edges, size)
+    if diameter is not None:
+        vars(topology)["diameter"] = diameter  # fills the cached_property
+    return topology
+
+
+# Pair draws one getrandbits call takes: 128 KiB of random bytes at a time,
+# which keeps a 3,000-node graph's draws under 1 MiB of working memory.
+_DRAW_CHUNK = 1 << 14
 
 
 def _random_connected_edges(
     size: int, seed: int, extra_edge_probability: float
 ) -> list[tuple[int, int]]:
-    # Uniform labeled spanning tree via a random parent sequence, then
-    # independent extra edges.
+    """Uniform labeled spanning tree via a random parent sequence, then each
+    other pair (u, v), u < v in order, as an edge when ``rng.random() < p``.
+
+    The pair draws are taken in bulk, with the same outcome and the same
+    consumption of the stream: ``random()`` is x / 2**53 with
+    x = (a >> 5) << 26 | b >> 6 for the next two 32-bit Mersenne Twister
+    outputs a and b, and ``getrandbits(64 * c)`` holds c such (a, b) pairs,
+    each a in the low half of a 64-bit word. A draw's top byte, a >> 24 =
+    x >> 45, settles ``x < p * 2**53`` for every byte value but at most one,
+    and only draws with that byte are compared in full (an int compares
+    exactly with a float).
+    """
     rng = random.Random(seed)
     edges: list[tuple[int, int]] = []
     if size >= 2:
@@ -250,11 +275,44 @@ def _random_connected_edges(
         for i in range(1, size):
             j = rng.randrange(i)
             edges.append((order[j], order[i]))
-    tree = {(min(u, v), max(u, v)) for u, v in edges}
+    tree_above: list[list[int]] = [[] for _ in range(size)]
+    for u, v in edges:
+        if u < v:
+            tree_above[u].append(v)
+        else:
+            tree_above[v].append(u)
+    bound = extra_edge_probability * 2**53
+    # top bytes below `sure` always hit, those from `maybe` on never; NaN maps to 0
+    scaled = min(256.0, max(0.0, 256 * extra_edge_probability))
+    sure, maybe = floor(scaled), ceil(scaled)
+    byte_class = b"\1" * sure + b"\2" * (maybe - sure) + bytes(256 - maybe)
+    left = size * (size - 1) // 2 - len(edges)
+    hits = bytearray()  # 1 per drawn pair that is an edge, in pair order
+    pos = 0
+    nodes = list(range(size))
     for u in range(size):
-        for v in range(u + 1, size):
-            if (u, v) not in tree and rng.random() < extra_edge_probability:
-                edges.append((u, v))
+        tree = tree_above[u]
+        end = pos + size - 1 - u - len(tree)
+        while len(hits) < end:
+            count = min(_DRAW_CHUNK, left)
+            left -= count
+            words = rng.getrandbits(64 * count).to_bytes(8 * count, "little")
+            flags = bytearray(words[3::8].translate(byte_class))  # by a >> 24
+            i = flags.find(2)
+            while i >= 0:
+                w = int.from_bytes(words[8 * i:8 * i + 8], "little")
+                flags[i] = ((w & 0xFFFFFFFF) >> 5 << 26 | w >> 38) < bound
+                i = flags.find(2, i + 1)
+            del hits[:pos]
+            end -= pos
+            pos = 0
+            hits += flags
+        if hits.find(1, pos, end) >= 0:
+            mask = hits[pos:end]
+            for t in sorted(tree):  # a 0 at each tree pair: one byte per v > u
+                mask.insert(t - u - 1, 0)
+            edges += zip(repeat(u), compress(nodes[u + 1:], mask))
+        pos = end
     return edges
 
 

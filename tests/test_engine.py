@@ -37,7 +37,7 @@ from beepsync.selfstab import (
     will_beep_stab,
 )
 from beepsync.fast_protocol import INACTIVE_CONFIG, FastNodeConfig, NodeState, RoundInput, step
-from beepsync.topology import KINDS, generate
+from beepsync.topology import KINDS, build, generate
 
 
 def test_schedule_validation():
@@ -710,8 +710,9 @@ def test_selfstab_counter_calendar_traps():
 @pytest.mark.parametrize("node_bound", [None, 250], ids=["N=n", "N=2.5n"])
 def test_selfstab_matches_reference_on_ring_100(node_bound):
     # far past the Hypothesis sizes: the 4N and budget thresholds are crossed
-    # with many calendar entries pending
-    topo = generate("ring", 100)
+    # with many calendar entries pending; built from its edges, the ring has
+    # no diameter filled in by generate
+    topo = build(list(generate("ring", 100).edges), 100)
     bound = 100 if node_bound is None else node_bound
     budget = sync_round_budget(bound, 12, 5)
     initial = random_configs(100, 12, bound, budget, seed=0)

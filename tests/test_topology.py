@@ -1,9 +1,18 @@
+import hashlib
+import math
+import random
+import tracemalloc
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from beepsync.topology import (
+    _DRAW_CHUNK,
     KINDS,
     MAX_EDGES,
     MAX_NODES,
+    _random_connected_edges,
     bfs_distances,
     build,
     format_topology,
@@ -59,6 +68,16 @@ def test_generate_line_diameter(size):
     assert generate("line", size).diameter == size - 1
 
 
+@pytest.mark.parametrize("kind", ["line", "ring", "star", "clique"])
+def test_generated_diameter_matches_search(kind):
+    # generate fills in these kinds' diameters in closed form; a graph built
+    # from the same edges searches for its own
+    for size in range(2 if kind == "star" else 1, 41):
+        topo = generate(kind, size)
+        assert "diameter" in vars(topo)
+        assert topo.diameter == build(list(topo.edges), size).diameter, (kind, size)
+
+
 def test_generate_clique():
     topo = generate("clique", 5)
     assert topo.diameter == 1
@@ -89,6 +108,96 @@ def test_random_connected_deterministic():
     assert a.edges == b.edges
     c = generate("random_connected", 12, seed=8)
     assert c.edges != a.edges
+
+
+def _reference_random_connected_edges(
+    size: int, seed: int, extra_edge_probability: float
+) -> list[tuple[int, int]]:
+    """The per-pair generator: one ``rng.random()`` per non-tree pair."""
+    rng = random.Random(seed)
+    edges: list[tuple[int, int]] = []
+    if size >= 2:
+        order = list(range(size))
+        rng.shuffle(order)
+        for i in range(1, size):
+            j = rng.randrange(i)
+            edges.append((order[j], order[i]))
+    tree = {(min(u, v), max(u, v)) for u, v in edges}
+    for u in range(size):
+        for v in range(u + 1, size):
+            if (u, v) not in tree and rng.random() < extra_edge_probability:
+                edges.append((u, v))
+    return edges
+
+
+# probabilities at and around the top-byte thresholds, and outside [0, 1]
+EDGE_PROBABILITIES = (
+    0.0, 1e-9, math.nextafter(2**-8, 0), 2**-8, math.nextafter(2**-8, 1),
+    0.1, 0.5, 1.0, 1.5, -0.25, math.nan,
+)
+# the smallest size whose non-tree pairs take more than one draw chunk
+CHUNK_CROSSING_SIZE = next(
+    n for n in range(2, MAX_NODES) if (n - 1) * (n - 2) // 2 > _DRAW_CHUNK
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    size=st.integers(1, 300),
+    seed=st.integers(0, 2**31 - 1),
+    p=st.one_of(st.sampled_from(EDGE_PROBABILITIES), st.just("1/n"), st.floats(0, 1)),
+)
+@example(size=CHUNK_CROSSING_SIZE, seed=1, p=0.1)
+@example(size=300, seed=2, p="1/n")
+@example(size=300, seed=3, p=math.nextafter(2**-8, 0))
+def test_random_connected_edges_match_per_pair_reference(size, seed, p):
+    if p == "1/n":
+        p = 1 / size
+    assert _random_connected_edges(size, seed, p) == _reference_random_connected_edges(
+        size, seed, p
+    )
+
+
+def test_random_connected_edges_at_drawn_values():
+    # p at, just below and just above a pair's own draw, where only the full
+    # 53-bit comparison tells hit from miss
+    size, seed = 30, 5
+    rng = random.Random(seed)
+    rng.shuffle(list(range(size)))
+    for i in range(1, size):
+        rng.randrange(i)
+    draws = [rng.random() for _ in range(20)]
+    for r in draws:
+        for p in (math.nextafter(r, 0), r, math.nextafter(r, 1)):
+            assert _random_connected_edges(size, seed, p) == (
+                _reference_random_connected_edges(size, seed, p)
+            ), p
+
+
+# large-n's random graph: benchmarks/workloads.py draws its seed from
+# random.Random("large-n:0")
+LARGE_N_SEED = random.Random("large-n:0").randrange(2**31)
+
+
+def test_large_random_graph_edges_pinned():
+    # the same edges as the per-pair reference, which takes about 1 s at this size
+    topo = generate("random_connected", 3000, seed=LARGE_N_SEED, extra_edge_probability=1 / 1500)
+    assert len(topo.edges) == 5913
+    assert hashlib.sha256(repr(topo.edges).encode()).hexdigest() == (
+        "cd82bdffcd9bea9a470ba35b3f3e97ca4835ea5ebe4d1ba0e6edf710bc83dbbd"
+    )
+
+
+def test_large_random_graph_draws_in_bounded_memory():
+    # drawing all 4.5M pairs at once would take 36 MB
+    tracemalloc.start()
+    try:
+        edges = _random_connected_edges(3000, LARGE_N_SEED, 1 / 1500)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(edges) == 5913
+    assert peak - held < 1 << 20
 
 
 def test_random_connected_is_connected_and_simple():
