@@ -19,7 +19,6 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from itertools import product
 
 from .checkpoints import MAX_PERIOD, compute_checkpoints, sync_round_budget
@@ -319,6 +318,9 @@ def _sweep_row(key: tuple) -> dict:
 # The most rows one sweep runs. A sweep holds every row's key and result
 # until it writes them, about 450 bytes a row: 450 MiB at the cap.
 MAX_SWEEP_ROWS = 1 << 20
+# The most worker processes one sweep starts. The pool forks all of them when
+# it starts, whatever the row count, each a copy of this process.
+MAX_JOBS = 64
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -331,6 +333,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     ):
         if values and values[-1] > cap:
             raise ValueError(f"{flag} reaches {values[-1]}, over the {cap} limit")
+    if args.jobs > MAX_JOBS:
+        raise ValueError(f"--jobs {args.jobs} is over the {MAX_JOBS} limit")
     seeds = range(args.seeds)
     schedule_kinds = ("single", "multi") if args.schedule == "both" else (args.schedule,)
     if args.mode == "selfstab":
@@ -345,7 +349,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     ]
 
     if args.jobs > 1 and keys:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        from concurrent.futures import ProcessPoolExecutor  # 25 ms; only pools need it
+
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(keys))) as pool:
             rows = list(pool.map(_sweep_row, keys, chunksize=16))
     else:
         rows = [_sweep_row(key) for key in keys]
@@ -437,7 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--seeds", type=int, default=20)
     p_sweep.add_argument("--schedule", choices=("single", "multi", "both"), default="both")
     p_sweep.add_argument("--horizon", type=int, default=None)
-    p_sweep.add_argument("--jobs", type=int, default=1)
+    p_sweep.add_argument("--jobs", type=int, default=1,
+                         help=f"worker processes, at most {MAX_JOBS} (1 runs in-process)")
     p_sweep.add_argument("--out", default=None, help="row CSV output path")
     p_sweep.set_defaults(func=_cmd_sweep)
 

@@ -95,39 +95,32 @@ def bfs_distances(neighbors: tuple[tuple[int, ...], ...], source: int) -> list[i
     return dist
 
 
-# sources one bitset search expands at once; bounds its sets to n * 512 bits
-_SOURCE_BLOCK = 512
-
-
 def _diameter(neighbors: tuple[tuple[int, ...], ...], ecc0: int) -> int:
     """Longest shortest path of a connected graph; ``ecc0`` is node 0's eccentricity.
 
-    Breadth-first search expands a block of sources at once on node bitsets:
-    after level d, bit s - lo of ``reach[v]`` is set when source s of the
-    block starting at lo is within d hops of v, and the block is done when
-    every set is full. A level costs about three plain-search visits per
-    node and there are ``ecc0`` to ``2 * ecc0`` levels per block, so when
-    ``4 * ecc0`` times the block count reaches the node count, as on rings
-    and lines, one plain search per source is cheaper.
+    Breadth-first search expands every source at once on node bitsets: after
+    level d, bit s of ``reach[v]`` is set when source s is within d hops of
+    v, so the diameter is the first level at which every set is full. A
+    level ORs each node's neighbours' sets into its own, skipping full sets,
+    and the two levels held at once take n * n / 4 bytes. There are ``ecc0``
+    to ``2 * ecc0`` levels; when ``4 * ecc0`` reaches the node count, as on
+    rings and lines, one plain search per source is cheaper. On grids built
+    from edges at n = 3,600 the two break even between ``4 * ecc0 = n`` and
+    ``3 * ecc0 = n`` (2-core x86, Python 3.11).
     """
     n = len(neighbors)
-    blocks = range(0, n, _SOURCE_BLOCK)
-    if 4 * ecc0 * len(blocks) >= n:
+    if 4 * ecc0 >= n:
         return max(max(bfs_distances(neighbors, s)) for s in range(n))
-    diameter = ecc0
-    for lo in blocks:
-        width = min(_SOURCE_BLOCK, n - lo)
-        full = (1 << width) - 1
-        reach = [1 << (v - lo) if 0 <= v - lo < width else 0 for v in range(n)]
-        level = 0
-        while reach.count(full) < n:
-            reach = [
-                reduce(or_, map(reach.__getitem__, nbrs), r)
-                for r, nbrs in zip(reach, neighbors)
-            ]
-            level += 1
-        diameter = max(diameter, level)
-    return diameter
+    full = (1 << n) - 1
+    reach = [1 << v for v in range(n)]
+    level = 0
+    while reach.count(full) < n:
+        reach = [
+            full if r == full else reduce(or_, map(reach.__getitem__, nbrs), r)
+            for r, nbrs in zip(reach, neighbors)
+        ]
+        level += 1
+    return level
 
 
 def build(edge_list: list[tuple[int, int]], node_count: int) -> Topology:
@@ -169,7 +162,8 @@ KINDS = ("line", "star", "clique", "ring", "random_connected")
 
 # Bounds on a generated graph, checked before its edge list is built. The
 # neighbour bitsets of n nodes take about n * n / 8 bytes, 32 MiB at
-# MAX_NODES, and random_connected draws 64 random bits per node pair:
+# MAX_NODES, the diameter's bitset search peaks at n * n / 4 bytes, 64 MiB
+# at MAX_NODES, and random_connected draws 64 random bits per node pair:
 # 3.3 s at n = 10,000 and 8 s at MAX_NODES, with edge probability 2 / n,
 # on a 2-core x86 box with Python 3.11 (generate knows the other kinds'
 # diameters; a search from every node takes 29 s on a 10,000-node ring

@@ -1,7 +1,11 @@
+import concurrent.futures
 import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 
@@ -15,6 +19,7 @@ from beepsync.cli import (
     EXIT_BOUND,
     EXIT_OK,
     EXIT_USAGE,
+    MAX_JOBS,
     SWEEP_FIELDS,
     _emit,
     _parse_range,
@@ -172,6 +177,10 @@ def test_oversized_topology_is_usage_error(capsys, kind, size, limit):
     assert limit in captured.err
 
 
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a process pool was constructed")
+
+
 @pytest.mark.parametrize(
     "argv, limit",
     [
@@ -186,11 +195,16 @@ def test_oversized_topology_is_usage_error(capsys, kind, size, limit):
          "self-stabilizing configs"),
         (("sweep", "--kinds", "line", "--n-range", "2:3", "--T-range", "4:4",
           "--seeds", "100000000", "--schedule", "single"), "sweep of 200000000 rows"),
+        (("sweep", "--kinds", "line", "--n-range", "3:3", "--T-range", "4:4",
+          "--seeds", "1", "--schedule", "single", "--jobs", "100000"),
+         f"--jobs 100000 is over the {MAX_JOBS} limit"),
     ],
     ids=["run-fast-period", "fsm-fast-period", "sweep-n-range", "sweep-T-range",
-         "fsm-selfstab-domain", "sweep-rows"],
+         "fsm-selfstab-domain", "sweep-rows", "sweep-jobs"],
 )
-def test_oversized_period_range_or_automaton_is_usage_error(capsys, argv, limit):
+def test_oversized_period_range_or_automaton_is_usage_error(capsys, monkeypatch, argv, limit):
+    # a pool forks all its workers when it starts, so none may be made
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
     start = time.perf_counter()
     code, captured = run_cli(capsys, *argv)
     assert time.perf_counter() - start < 1.0
@@ -412,6 +426,42 @@ def test_sweep_parallel_matches_serial(tmp_path, capsys):
     code2, _ = run_cli(capsys, *args, "--jobs", "2", "--out", str(parallel))
     assert code1 == code2 == 0
     assert serial.read_bytes() == parallel.read_bytes()
+
+
+def test_sweep_pool_has_no_more_workers_than_rows(capsys, monkeypatch):
+    workers = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    code, captured = run_cli(
+        capsys, "sweep", "--kinds", "line", "--n-range", "3:3", "--T-range", "4:4",
+        "--seeds", "2", "--schedule", "single", "--jobs", str(MAX_JOBS),
+    )
+    assert code == 0
+    assert workers == [2]
+    assert last_json(captured.out)["rows"] == 2
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # importing concurrent.futures.process takes about 25 ms; only --jobs > 1 needs it
+    code = (
+        "import sys, beepsync.cli; "
+        "sys.exit('concurrent.futures.process' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_sweep_empty_grid(capsys):

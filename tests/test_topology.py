@@ -12,6 +12,7 @@ from beepsync.topology import (
     KINDS,
     MAX_EDGES,
     MAX_NODES,
+    _diameter,
     _random_connected_edges,
     bfs_distances,
     build,
@@ -186,6 +187,8 @@ def test_large_random_graph_edges_pinned():
     assert hashlib.sha256(repr(topo.edges).encode()).hexdigest() == (
         "cd82bdffcd9bea9a470ba35b3f3e97ca4835ea5ebe4d1ba0e6edf710bc83dbbd"
     )
+    assert 4 * max(bfs_distances(topo.neighbors, 0)) < 3000  # the bitset search
+    assert topo.diameter == 11
 
 
 def test_large_random_graph_draws_in_bounded_memory():
@@ -220,13 +223,58 @@ def test_bfs_distance_symmetry():
     assert topo.diameter == max(max(row) for row in table)
 
 
-@pytest.mark.parametrize("size", [600, 1100])
-def test_diameter_over_several_source_blocks(size):
-    # more nodes than one bitset block holds, with a short diameter
+def diameter_by_search(topo):
+    """The reference: the largest distance of a plain search from every node."""
+    return max(max(bfs_distances(topo.neighbors, s)) for s in range(topo.node_count))
+
+
+def takes_bitset_pass(topo):
+    # _diameter's rule: one plain search per source once 4 * ecc0 reaches n
+    return 4 * max(bfs_distances(topo.neighbors, 0)) < topo.node_count
+
+
+def grid_edges(width, height):
+    n = width * height
+    return [(v, v + 1) for v in range(n) if (v + 1) % width] + [
+        (v, v + width) for v in range(n - width)
+    ]
+
+
+@pytest.mark.parametrize("size", [600, 1100, 3000])
+def test_bitset_diameter_matches_search_on_random_graphs(size):
     topo = generate("random_connected", size, seed=size, extra_edge_probability=2 / size)
-    assert topo.diameter == max(
-        max(bfs_distances(topo.neighbors, s)) for s in range(size)
-    )
+    assert takes_bitset_pass(topo)
+    assert topo.diameter == diameter_by_search(topo)
+
+
+@pytest.mark.parametrize(
+    "width, height, bitset", [(40, 40, True), (100, 6, True), (300, 3, False)]
+)
+def test_diameter_of_grids_built_from_edges(width, height, bitset):
+    topo = build(grid_edges(width, height), width * height)
+    assert takes_bitset_pass(topo) is bitset
+    assert topo.diameter == diameter_by_search(topo) == width + height - 2
+
+
+@pytest.mark.parametrize("kind", ["ring", "line"])
+def test_diameter_of_rings_and_lines_read_from_text(kind):
+    topo = parse_topology(format_topology(generate(kind, 500)))
+    assert "diameter" not in vars(topo)
+    assert not takes_bitset_pass(topo)
+    assert topo.diameter == diameter_by_search(topo) == generate(kind, 500).diameter
+
+
+def test_bitset_diameter_memory_is_two_levels_of_node_sets():
+    # two lists of n n-bit sets, n * n / 4 bytes, plus int headers and 30-bit digits
+    topo = generate("random_connected", 3000, seed=LARGE_N_SEED, extra_edge_probability=1 / 1500)
+    ecc0 = max(bfs_distances(topo.neighbors, 0))
+    tracemalloc.start()
+    try:
+        _diameter(topo.neighbors, ecc0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3000 * 3000 // 4 * 5 // 4
 
 
 def test_generate_rejects_oversized_graphs():
