@@ -4,8 +4,6 @@ from .checkpoints import (
     CheckpointSet,
     compute_checkpoints,
     fast_runtime_bound,
-    period_partition,
-    succ,
     sync_round_budget,
 )
 from .engine import (
@@ -72,7 +70,6 @@ from .selfstab import (
 from .slots import (
     SlotRecord,
     alignment_time,
-    joint_beep_times,
     run_slots,
     write_slot_csv,
 )

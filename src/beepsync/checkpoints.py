@@ -8,7 +8,6 @@ jump never lands past a checkpoint.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 
@@ -85,46 +84,6 @@ def compute_checkpoints(period: int, spacing: int = 4) -> CheckpointSet:
         c for c in range(0, period, spacing) if period - c > spacing - 1
     )
     return CheckpointSet(period=period, spacing=spacing, members=members)
-
-
-def succ(clock: int, checkpoints: CheckpointSet) -> int:
-    """The smallest checkpoint strictly greater than ``clock``, wrapping to 0."""
-    members = checkpoints.members
-    i = bisect_right(members, clock)
-    if i == len(members):
-        return 0
-    return members[i]
-
-
-def period_partition(period: int, spacing: int, count: int) -> list[list[int]]:
-    """Splits rounds 1, 2, ... into checkpoint-to-checkpoint periods.
-
-    Period i covers the rounds between two consecutive checkpoints; its length
-    is the cyclic gap between them, so one full cycle of periods spans exactly
-    ``period`` rounds.
-
-    Args:
-        period: Clock cycle length.
-        spacing: Checkpoint distance.
-        count: Number of periods to produce (>= 1).
-
-    Returns:
-        ``count`` lists of consecutive round indices, starting at round 1.
-    """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    cps = compute_checkpoints(period, spacing)
-    gaps = []
-    for c in cps.members:
-        gap = (succ(c, cps) - c) % period
-        gaps.append(gap if gap else period)
-    periods: list[list[int]] = []
-    start = 1
-    for i in range(count):
-        length = gaps[i % len(gaps)]
-        periods.append(list(range(start, start + length)))
-        start += length
-    return periods
 
 
 def fast_runtime_bound(diameter: int, period: int, spacing: int = 4) -> int:

@@ -166,7 +166,7 @@ def _cmd_run_selfstab(args: argparse.Namespace) -> int:
         topology, initial, args.T, spacing=args.q,
         node_bound=node_bound, horizon=args.horizon,
     )
-    violations = check_stab_invariants(trace, budget)
+    violations = check_stab_invariants(trace)
     if args.out:
         _write_trace(trace, args.out, args.format)
     _emit(

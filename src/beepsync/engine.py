@@ -33,7 +33,6 @@ from typing import Callable, Iterator
 
 from .checkpoints import CheckpointSet, compute_checkpoints, fast_runtime_bound, sync_round_budget
 from .fast_protocol import (
-    BeepClass,
     FastNodeConfig,
     NodeState,
     classify_beep,
@@ -182,16 +181,6 @@ class FastTrace:
 
     def round_count(self) -> int:
         return len(self.clocks)
-
-    def config_at(self, t: int, v: int) -> FastNodeConfig:
-        return FastNodeConfig(self.clocks[t][v], self.states[t][v], self.induced[t][v])
-
-    def beep_class_at(self, t: int, v: int, checkpoints: CheckpointSet) -> BeepClass | None:
-        if not self.beeped[t][v]:
-            return None
-        return classify_beep(
-            self.config_at(t, v), checkpoints, just_activated=self.activation_round[v] == t
-        )
 
 
 @dataclass
@@ -747,7 +736,7 @@ def run_selfstab(
     return result, trace
 
 
-def check_stab_invariants(trace: StabTrace, budget: int) -> list[Violation]:
+def check_stab_invariants(trace: StabTrace) -> list[Violation]:
     """Checks counter semantics and pulse/lock episode lengths on a trace.
 
     Pulse episodes entered during the run must beep exactly 4 consecutive
@@ -757,7 +746,8 @@ def check_stab_invariants(trace: StabTrace, budget: int) -> list[Violation]:
     first pulse round before the trace snapshot can show it. The round
     counter may only step up by one until it saturates, reset to 0, or sit at
     1 right after a consistency reset; the beep counter clears on silent
-    listen rounds.
+    listen rounds. The saturation value comes from the sync-round budget,
+    which the check derives from the trace's node bound, period and spacing.
 
     Each node's column is checked at once: the counter steps and silent
     listens by whole-column comparisons, the pulse and lock episodes over
@@ -765,6 +755,7 @@ def check_stab_invariants(trace: StabTrace, budget: int) -> list[Violation]:
     by node, then round.
     """
     violations: list[Violation] = []
+    budget = sync_round_budget(trace.node_bound, trace.period, trace.spacing)
     saturation = max_round_counter(trace.node_bound, budget)
     lock_length = 4 * trace.node_bound
     cps = compute_checkpoints(trace.period, trace.spacing)

@@ -274,14 +274,14 @@ def _eventual_cycle(next_state: tuple[int, ...], start: int) -> tuple[int, ...]:
     return tuple(seq[seen[s]:]) + (s,)
 
 
-def find_beep_cycle(automaton: ProtocolAutomaton, start: int = 0) -> tuple[int, ...]:
-    """Eventual cycle under constant beep input, with the first state repeated."""
-    return _eventual_cycle(automaton.beep_next, start)
+def find_beep_cycle(automaton: ProtocolAutomaton) -> tuple[int, ...]:
+    """Eventual cycle from state 0 under constant beep input, first state repeated."""
+    return _eventual_cycle(automaton.beep_next, 0)
 
 
-def find_silence_cycle(automaton: ProtocolAutomaton, start: int = 0) -> tuple[int, ...]:
-    """Eventual cycle under constant silence, with the first state repeated."""
-    return _eventual_cycle(automaton.silence_next, start)
+def find_silence_cycle(automaton: ProtocolAutomaton) -> tuple[int, ...]:
+    """Eventual cycle from state 0 under constant silence, first state repeated."""
+    return _eventual_cycle(automaton.silence_next, 0)
 
 
 def _spaced_by(marks: list[int], length: int, period: int) -> bool:
@@ -316,8 +316,8 @@ def classify(
             silence cycle does not provide.
     """
     _check_period(period)
-    beep_cycle = find_beep_cycle(automaton, 0)
-    silence_cycle = find_silence_cycle(automaton, 0)
+    beep_cycle = find_beep_cycle(automaton)
+    silence_cycle = find_silence_cycle(automaton)
     core = beep_cycle[:-1]
     if any(automaton.beeps[s] for s in core):
         if len(core) > node_budget:
@@ -439,7 +439,7 @@ def runtime_lower_bound_demo(automaton: ProtocolAutomaton, period: int) -> float
             offset is meaningless.
     """
     _check_period(period)
-    silence_core = find_silence_cycle(automaton, 0)[:-1]
+    silence_core = find_silence_cycle(automaton)[:-1]
     beep_idx = [i for i, s in enumerate(silence_core) if automaton.beeps[s]]
     if not beep_idx:
         raise NotConstructible("silence cycle never beeps")

@@ -201,19 +201,6 @@ def alignment_time(records: list[SlotRecord], node_count: int) -> float | None:
     return found
 
 
-def joint_beep_times(records: list[SlotRecord], node_count: int) -> list[float]:
-    """Slot starts at which every node beeps simultaneously."""
-    by_start: dict[float, list[SlotRecord]] = {}
-    for rec in records:
-        by_start.setdefault(_quantize(rec.start_time), []).append(rec)
-    out = []
-    for start in sorted(by_start):
-        group = by_start[start]
-        if len(group) == node_count and all(rec.beeped for rec in group):
-            out.append(start)
-    return out
-
-
 def write_slot_csv(records: list[SlotRecord], path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)

@@ -148,11 +148,13 @@ def build(edge_list: list[tuple[int, int]], node_count: int) -> Topology:
     if len(seen) < node_count - 1:  # checked before allocating per-node lists
         raise ValueError("graph is not connected")
     edges = tuple(sorted(seen))
+    # edges are sorted pairs u < v, so node w meets its lower neighbours
+    # (as v) in increasing order before its higher ones (as u): adj is sorted
     adj: list[list[int]] = [[] for _ in range(node_count)]
     for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
-    neighbors = tuple(tuple(sorted(a)) for a in adj)
+    neighbors = tuple(map(tuple, adj))
     if min(bfs_distances(neighbors, 0)) < 0:
         raise ValueError("graph is not connected")
     return Topology(node_count=node_count, edges=edges, neighbors=neighbors)

@@ -5,19 +5,12 @@ from beepsync.checkpoints import (
     CheckpointSet,
     compute_checkpoints,
     fast_runtime_bound,
-    period_partition,
-    succ,
     sync_round_budget,
 )
 
 
 def naive_members(period, spacing):
     return [c for c in range(period) if c % spacing == 0 and period - c > spacing - 1]
-
-
-def naive_succ(clock, members):
-    larger = [c for c in members if c > clock]
-    return min(larger) if larger else 0
 
 
 def test_members_frozen_values():
@@ -76,62 +69,10 @@ def test_parameter_validation():
         sync_round_budget(2, MAX_PERIOD + 1, 4)
 
 
-def test_succ_frozen_values():
-    assert succ(4, compute_checkpoints(19, 4)) == 8
-    assert succ(12, compute_checkpoints(19, 4)) == 0
-    assert succ(0, compute_checkpoints(7, 4)) == 0
-
-
-def test_succ_matches_naive():
-    for period in range(4, 30):
-        cps = compute_checkpoints(period, 4)
-        for clock in range(period):
-            assert succ(clock, cps) == naive_succ(clock, cps.members)
-
-
-def test_succ_cycle_visits_every_member_once():
-    for period in (7, 8, 12, 19, 23):
-        cps = compute_checkpoints(period, 4)
-        seen = []
-        current = 0
-        while True:
-            current = succ(current, cps)
-            if current == 0:
-                break
-            seen.append(current)
-        assert [0] + seen == list(cps.members)
-
-
 def test_pre_and_post_checkpoint_flags():
     cps = compute_checkpoints(12, 4)
     assert [c for c in range(12) if cps.is_pre_checkpoint(c)] == [3, 7, 11]
     assert [c for c in range(12) if cps.is_post_checkpoint(c)] == [1, 5, 9]
-
-
-def test_period_partition_frozen():
-    parts = period_partition(19, 4, 4)
-    assert parts[0] == list(range(1, 5))
-    assert parts[1] == list(range(5, 9))
-    assert parts[2] == list(range(9, 13))
-    assert parts[3] == list(range(13, 20))
-    assert period_partition(19, 4, 5)[4] == [20, 21, 22, 23]
-    assert period_partition(8, 4, 2) == [[1, 2, 3, 4], [5, 6, 7, 8]]
-
-
-def test_period_partition_cycle_sums_to_period():
-    for period in (7, 8, 12, 19, 26):
-        cps = compute_checkpoints(period, 4)
-        count = len(cps.members)
-        parts = period_partition(period, 4, count)
-        assert sum(len(p) for p in parts) == period
-        assert parts[0][0] == 1
-        for left, right in zip(parts, parts[1:]):
-            assert right[0] == left[-1] + 1
-
-
-def test_period_partition_rejects_bad_count():
-    with pytest.raises(ValueError):
-        period_partition(19, 4, 0)
 
 
 def test_fast_runtime_bound_frozen():

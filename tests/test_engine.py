@@ -36,7 +36,14 @@ from beepsync.selfstab import (
     validate_config,
     will_beep_stab,
 )
-from beepsync.fast_protocol import INACTIVE_CONFIG, FastNodeConfig, NodeState, RoundInput, step
+from beepsync.fast_protocol import (
+    INACTIVE_CONFIG,
+    FastNodeConfig,
+    NodeState,
+    RoundInput,
+    classify_beep,
+    step,
+)
 from beepsync.topology import KINDS, build, generate
 
 
@@ -167,7 +174,7 @@ def test_selfstab_legitimate_start_stays_legitimate():
     assert result.legitimate_round == 0
     assert result.closure_verified
     assert not result.pulse_seen
-    assert check_stab_invariants(trace, sync_round_budget(3, 8, 5)) == []
+    assert check_stab_invariants(trace) == []
 
 
 def test_all_pulse_clique_locks_then_releases():
@@ -186,7 +193,7 @@ def test_selfstab_reference_run_converges():
     result, trace = run_selfstab(topo, initial, 10, spacing=5, node_bound=8)
     assert result.legitimate_round == 74  # reference value pinned from this engine
     assert result.closure_verified
-    assert check_stab_invariants(trace, budget) == []
+    assert check_stab_invariants(trace) == []
 
 
 def test_selfstab_rejects_out_of_domain_initial():
@@ -213,7 +220,7 @@ def test_stab_invariants_flag_counter_jump():
             break
     t, v, prev = found
     bad.round_counter[t][v] = prev + 3
-    checks = {viol.check for viol in check_stab_invariants(bad, budget)}
+    checks = {viol.check for viol in check_stab_invariants(bad)}
     assert "stab-r" in checks
 
 
@@ -223,8 +230,7 @@ def test_stab_invariants_flag_truncated_lock():
     _, trace = run_selfstab(topo, initial, 10, spacing=5, node_bound=3)
     bad = copy.deepcopy(trace)
     bad.states[10][0] = StabState.INACTIVE
-    budget = sync_round_budget(3, 10, 5)
-    assert check_stab_invariants(bad, budget) != []
+    assert check_stab_invariants(bad) != []
 
 
 def post_repair_states(trace):
@@ -731,7 +737,12 @@ def _reference_fast_rows(trace):
     cps = compute_checkpoints(trace.period, trace.spacing)
     for t in range(trace.round_count()):
         for v in range(trace.topology.node_count):
-            beep_class = trace.beep_class_at(t, v, cps)
+            beep_class = None
+            if trace.beeped[t][v]:
+                config = FastNodeConfig(trace.clocks[t][v], trace.states[t][v], trace.induced[t][v])
+                beep_class = classify_beep(
+                    config, cps, just_activated=trace.activation_round[v] == t
+                ).value
             yield {
                 "round": t,
                 "node": v,
@@ -741,7 +752,7 @@ def _reference_fast_rows(trace):
                 "r": None,
                 "b": None,
                 "beeped": trace.beeped[t][v],
-                "beep_class": None if beep_class is None else beep_class.value,
+                "beep_class": beep_class,
                 "virtual_counter": trace.counters[t][v],
             }
 
@@ -1083,7 +1094,7 @@ def test_stab_checker_and_export_match_reference(export_dir, run, data):
         "beep_count": lambda b: st.integers(0, 4),
         "beeped": lambda b: st.booleans(),
     })
-    assert check_stab_invariants(bad, budget) == _reference_check_stab_invariants(bad, budget)
+    assert check_stab_invariants(bad) == _reference_check_stab_invariants(bad, budget)
     for write, reference in (
         (write_trace_csv, _reference_write_trace_csv),
         (write_trace_jsonl, _reference_write_trace_jsonl),
@@ -1182,7 +1193,8 @@ def test_injected_stab_b_beep_count_kept_on_silent_listen():
     # every node listens in silence from round 0 to 6
     trace.beep_count[3][1] = 2
     budget = sync_round_budget(3, 8, 5)
-    _flagged("stab-b", check_stab_invariants, _reference_check_stab_invariants, trace, budget)
+    _flagged("stab-b", check_stab_invariants,
+             lambda bad: _reference_check_stab_invariants(bad, budget), trace)
 
 
 def test_injected_stab_pulse_cut_short(pulse_trace):
@@ -1190,13 +1202,13 @@ def test_injected_stab_pulse_cut_short(pulse_trace):
     pulse_trace.clocks[2][0] = 3
     pulse_trace.beeped[2][0] = False
     budget = sync_round_budget(3, 10, 5)
-    _flagged("stab-pulse", check_stab_invariants, _reference_check_stab_invariants,
-             pulse_trace, budget)
+    _flagged("stab-pulse", check_stab_invariants,
+             lambda bad: _reference_check_stab_invariants(bad, budget), pulse_trace)
 
 
 def test_injected_stab_lock_left_for_beep(pulse_trace):
     pulse_trace.states[9][1] = StabState.BEEP
     pulse_trace.beeped[9][1] = True
     budget = sync_round_budget(3, 10, 5)
-    _flagged("stab-lock", check_stab_invariants, _reference_check_stab_invariants,
-             pulse_trace, budget)
+    _flagged("stab-lock", check_stab_invariants,
+             lambda bad: _reference_check_stab_invariants(bad, budget), pulse_trace)

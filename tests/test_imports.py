@@ -1,4 +1,5 @@
-"""Module boundaries: no beepsync module imports a private name of another."""
+"""Module imports: no beepsync module imports a private name of another, or a
+name it never reads."""
 
 import ast
 from pathlib import Path
@@ -28,3 +29,29 @@ def test_no_module_imports_a_private_name():
     modules = sorted(PACKAGE.glob("*.py"))
     assert len(modules) > 1
     assert [hit for path in modules for hit in private_imports(path)] == []
+
+
+def unused_imports(path: Path) -> list[str]:
+    """Top-level imports in ``path`` that nothing in it reads, unless their
+    line carries ``# unused here``."""
+    source = path.read_text(encoding="utf-8")
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    found = []
+    for stmt in tree.body:
+        if not isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+            continue
+        for alias in stmt.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in used and "# unused here" not in lines[alias.lineno - 1]:
+                found.append(f"{path.name}:{alias.lineno} imports {alias.name} unused")
+    return found
+
+
+def test_no_module_imports_an_unused_name():
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    assert len(modules) > 1
+    assert [hit for path in modules for hit in unused_imports(path)] == []

@@ -179,7 +179,7 @@ def transition(automaton, state, heard_beep):
 
 def two_node_demo(automaton, period):
     """Reference for runtime_lower_bound_demo: the pair stepped by hand."""
-    silence_core = find_silence_cycle(automaton, 0)[:-1]
+    silence_core = find_silence_cycle(automaton)[:-1]
     beep_idx = [i for i, s in enumerate(silence_core) if automaton.beeps[s]]
     if not beep_idx:
         raise NotConstructible("silence cycle never beeps")

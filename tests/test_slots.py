@@ -14,7 +14,6 @@ from beepsync.slots import (
     SlotRecord,
     _quantize,
     alignment_time,
-    joint_beep_times,
     run_slots,
     write_slot_csv,
 )
@@ -66,8 +65,6 @@ def test_joint_zero_clock_beep_after_alignment():
         zero = [r for r in by_node(records, node) if r.start_time == pytest.approx(12.0, abs=TOL)]
         assert zero[0].beeped
         assert zero[0].clock == 0
-    joints = joint_beep_times(records, 3)
-    assert any(t == pytest.approx(12.0, abs=TOL) for t in joints)
 
 
 def test_beeps_after_alignment_only_at_clock_zero():

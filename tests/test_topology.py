@@ -63,6 +63,23 @@ def test_build_ignores_edge_order():
     assert a.neighbors == b.neighbors
     assert a.edges == b.edges
 
+    # a shuffled 60-node list with reversed and repeated pairs: C4, C5 and C7
+    # report violations in neighbour order, so every list must come out sorted
+    rng = random.Random(5)
+    base = generate("random_connected", 60, seed=5).edges
+    shuffled = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in base]
+    shuffled += rng.sample(shuffled, 20)
+    rng.shuffle(shuffled)
+    topo = build(shuffled, 60)
+    assert topo.edges == base
+    from_edges = [[] for _ in range(60)]
+    for u, v in base:
+        from_edges[u].append(v)
+        from_edges[v].append(u)
+    for v, around in enumerate(topo.neighbors):
+        assert list(around) == sorted(from_edges[v])
+        assert all(a < b for a, b in zip(around, around[1:]))
+
 
 @pytest.mark.parametrize("size", range(2, 9))
 def test_generate_line_diameter(size):
