@@ -60,18 +60,17 @@ def _apply_env_defaults(parser: argparse.ArgumentParser) -> None:
         longs = [opt for opt in action.option_strings if opt.startswith("--")]
         if not longs:
             continue
-        raw = os.environ.get(ENV_PREFIX + longs[0][2:].replace("-", "_").upper())
+        name = ENV_PREFIX + longs[0][2:].replace("-", "_").upper()
+        raw = os.environ.get(name)
         if raw is None:
             continue
         if isinstance(action, argparse._AppendAction):
             value = raw.split(",")
-        elif isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
-            value = raw.lower() in ("1", "true", "yes")
         elif action.type is not None:
             try:
                 value = action.type(raw)
             except (TypeError, ValueError):
-                parser.error(f"bad value {raw!r} in ${ENV_PREFIX}{longs[0][2:].upper()}")
+                parser.error(f"bad value {raw!r} in ${name}")
         else:
             value = raw
         action.default = value
@@ -393,7 +392,6 @@ def _add_common(parser: argparse.ArgumentParser, *, default_q: int) -> None:
     parser.add_argument("--q", type=int, default=default_q, help="checkpoint spacing")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--out", default=None, help="trace output path")
-    parser.add_argument("--format", choices=("csv", "jsonl"), default="csv")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -405,12 +403,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fast = sub.add_parser("run-fast", help="synchronous fast-protocol run")
     _add_common(p_fast, default_q=4)
+    p_fast.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     p_fast.add_argument("--wake", action="append", default=None, metavar="NODE=ROUND")
     p_fast.add_argument("--horizon", type=int, default=None)
     p_fast.set_defaults(func=_cmd_run_fast)
 
     p_stab = sub.add_parser("run-selfstab", help="self-stabilizing run")
     _add_common(p_stab, default_q=5)
+    p_stab.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     p_stab.add_argument("--N", type=int, default=None, help="node bound the protocol uses")
     p_stab.add_argument("--init-file", default=None)
     p_stab.add_argument("--horizon", type=int, default=None)

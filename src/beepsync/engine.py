@@ -211,6 +211,19 @@ class StabTrace:
         )
 
 
+# The most node-round cells a trace may hold, at about 95 bytes a cell with
+# its checks: ring-1000 run-fast at T=8 holds 4.0M cells in a 368 MiB peak.
+MAX_TRACE_CELLS = 1 << 22
+
+
+def _check_horizon(horizon: int, trace_nodes: int) -> None:
+    """Refuses a negative horizon, and a trace of ``trace_nodes`` nodes too long to keep."""
+    if horizon < 0:
+        raise ValueError(f"negative horizon {horizon}")
+    if trace_nodes * (horizon + 1) > MAX_TRACE_CELLS:
+        raise ValueError(f"trace of {trace_nodes * (horizon + 1)} cells over the {MAX_TRACE_CELLS} limit")
+
+
 def fast_setup(
     topology: Topology, schedule: ActivationSchedule, period: int, spacing: int
 ) -> tuple[ProtocolAutomaton, int, int]:
@@ -235,8 +248,8 @@ def run_fast(
     """Simulates the fast protocol and reports the synchronization round.
 
     The run steps the protocol's transition table (``extract_fast_automaton``)
-    on node bitsets, one set per occupied config; the trace is decoded from
-    the recorded sets afterwards.
+    on node bitsets, one set per occupied config. A traced run decodes each
+    round's sets into that round's trace row before it steps the next.
 
     Args:
         topology: Connected graph to run on.
@@ -250,61 +263,21 @@ def run_fast(
 
     Returns:
         (result, trace); trace is None when recording is disabled.
+
+    Raises:
+        ValueError: On a bad wake node or period, a negative horizon, or a
+            trace of more than ``MAX_TRACE_CELLS`` cells.
     """
     n = topology.node_count
     table, bound, default_horizon = fast_setup(topology, schedule, period, spacing)
     if horizon is None:
         horizon = default_horizon
+    _check_horizon(horizon, n if record_trace else 0)
     offset = schedule.min_wake()
     woken: dict[int, int] = {}
     for node, rnd in schedule.wake_round.items():
         woken[rnd - offset] = woken.get(rnd - offset, 0) | 1 << node
     neighborhood = topology.neighborhood
-    clock_of = table.clock_of
-
-    masks = {0: (1 << n) - 1}
-    sync_round: int | None = None
-    rounds: list[tuple[dict[int, int], int]] = []
-    for t in range(horizon + 1):
-        masks, heard = advance(table, masks, neighborhood, woken.get(t, 0))
-        if record_trace:
-            rounds.append((masks, heard))
-        if sync_round is None and 0 not in masks and len({clock_of[s] for s in masks}) == 1:
-            sync_round = t
-            if not record_trace:
-                # nothing an untraced result reports changes after sync_round
-                break
-
-    result = SimResult(
-        sync_round=sync_round, bound=bound, horizon=horizon,
-        rounds_run=horizon if record_trace or sync_round is None else sync_round,
-    )
-    if not record_trace:
-        return result, None
-    trace = _decode_fast_trace(table, rounds, topology, period, spacing, offset)
-    if sync_round is not None:
-        window = min(4 * period, horizon - sync_round)
-        if window >= 2 * period:
-            result.closure_verified = check_closure(trace, sync_round, period, window)
-    return result, trace
-
-
-def _decode_fast_trace(
-    table: ProtocolAutomaton,
-    rounds: list[tuple[dict[int, int], int]],
-    topology: Topology,
-    period: int,
-    spacing: int,
-    offset: int,
-) -> FastTrace:
-    """Builds the per-node trace from each round's state masks and heard set.
-
-    ``rounds[t]`` holds the masks of trace row t and the nodes that heard a
-    beep in the step that produced them; the list is emptied as it is
-    decoded. A virtual counter is the rounds since activation plus the
-    induced jumps taken so far.
-    """
-    n = topology.node_count
     configs = table.labels
     clock_of = table.clock_of
     beeps = table.beeps
@@ -324,36 +297,52 @@ def _decode_fast_trace(
     )
     nodes = range(n)
     pending = (1 << n) - 1
-    prev: dict[int, int] = {}
-    rounds.reverse()
-    for t in range(len(rounds)):
-        masks, heard = rounds.pop()
-        if t:
-            jumped = 0
-            for s, m in prev.items():
-                if induces[s]:
-                    jumped |= m & heard
-            events = [False] * n
-            if jumped:
-                for v in compress(nodes, bit_flags(jumped)):
-                    events[v] = True
-                    jumps[v] += 1
-            trace.induce_event.append(events)
-        activated = pending & ~masks.get(0, 0)
-        if activated:
-            for v in compress(nodes, bit_flags(activated)):
-                activation_round[v] = t
-            pending ^= activated
-        ids = decode_masks(masks, n)
-        trace.clocks.append([clock_of[s] for s in ids])
-        trace.states.append([state_of[s] for s in ids])
-        trace.induced.append([induced_of[s] for s in ids])
-        trace.beeped.append([beeps[s] for s in ids])
-        trace.counters.append(
-            [None if a is None else t - a + j for a, j in zip(activation_round, jumps)]
-        )
+
+    masks = {0: (1 << n) - 1}
+    sync_round: int | None = None
+    for t in range(horizon + 1):
         prev = masks
-    return trace
+        masks, heard = advance(table, masks, neighborhood, woken.get(t, 0))
+        if record_trace:
+            if t:
+                jumped = 0
+                for s, m in prev.items():
+                    if induces[s]:
+                        jumped |= m & heard
+                events = [False] * n
+                if jumped:
+                    for v in compress(nodes, bit_flags(jumped)):
+                        events[v] = True
+                        jumps[v] += 1
+                trace.induce_event.append(events)
+            activated = pending & ~masks.get(0, 0)
+            if activated:
+                for v in compress(nodes, bit_flags(activated)):
+                    activation_round[v] = t
+                pending ^= activated
+            ids = decode_masks(masks, n)
+            trace.clocks.append([clock_of[s] for s in ids])
+            trace.states.append([state_of[s] for s in ids])
+            trace.induced.append([induced_of[s] for s in ids])
+            trace.beeped.append([beeps[s] for s in ids])
+            trace.counters.append(
+                [None if a is None else t - a + j for a, j in zip(activation_round, jumps)]
+            )
+        if sync_round is None and 0 not in masks and len({clock_of[s] for s in masks}) == 1:
+            sync_round = t
+            if not record_trace:
+                # nothing an untraced result reports changes after sync_round
+                break
+
+    result = SimResult(
+        sync_round=sync_round, bound=bound, horizon=horizon,
+        rounds_run=horizon if record_trace or sync_round is None else sync_round,
+    )
+    if record_trace and sync_round is not None:
+        window = min(4 * period, horizon - sync_round)
+        if window >= 2 * period:
+            result.closure_verified = check_closure(trace, sync_round, period, window)
+    return result, trace if record_trace else None
 
 
 def check_closure(trace: FastTrace, sync_round: int, period: int, window: int) -> bool:
@@ -578,6 +567,8 @@ def run_selfstab(
     budget = sync_round_budget(node_bound, period, spacing)
     if horizon is None:
         horizon = 50 * max(period, budget, 4 * node_bound)
+    # a run with a stability window can stop long before its horizon
+    _check_horizon(horizon, n if record_trace and stability_window is None else 0)
     if len(initial) != n:
         raise ValueError(f"need {n} initial configs, got {len(initial)}")
     for cfg in initial:
@@ -608,19 +599,20 @@ def run_selfstab(
     all_lock_round: int | None = None
     entered_pulse = False
     pulse_seen = False
-    last_t = 0
     quiet_pulses = 0
     lock_delay = 0
     # earliest quiet pulse entry still waiting for an all-lock round
     open_entry: int | None = None
     prev_calm = False
     prev_pulse = 0
-    rounds: list[dict[int, int]] = []
-    # (round, nodes, new base) of every restart, for the trace's round counters
-    restarted: list[tuple[int, int, int]] = []
+    trace = StabTrace(topology, period, spacing, node_bound, [], [], [], [], [], [])
+    saturation = max_round_counter(node_bound, budget)
+    columns = (
+        (table.clock, trace.clocks), (states, trace.states), (table.induced, trace.induced),
+        (table.beep_count, trace.beep_count), (table.beeps, trace.beeped),
+    )
 
     for t in range(horizon + 1):
-        last_t = t
         crossing = calendar.pop(t, 0)
         if crossing:
             for s, m in list(masks.items()):
@@ -672,7 +664,12 @@ def run_selfstab(
             open_entry = None
         prev_calm = not pulsing and not any_lock
         if record_trace:
-            rounds.append(masks)
+            ids = decode_masks(masks, n)
+            for column, rows in columns:
+                rows.append([column[s] for s in ids])
+            trace.round_counter.append(
+                [t - b if t - b < saturation else saturation for b in base]
+            )
 
         if t == horizon or (
             stability_window is not None
@@ -694,38 +691,15 @@ def run_selfstab(
                         if due[v] > t:
                             calendar[due[v]] ^= 1 << v
                         due[v] = d
+                        base[v] = start
                     calendar[d] = calendar.get(d, 0) | moved
-                    if record_trace:
-                        restarted.append((t + 1, moved, start))
 
-    trace = None
-    if record_trace:
-        trace = StabTrace(topology, period, spacing, node_bound, [], [], [], [], [], [])
-        saturation = max_round_counter(node_bound, budget)
-        columns = (
-            (table.clock, trace.clocks), (states, trace.states), (table.induced, trace.induced),
-            (table.beep_count, trace.beep_count), (table.beeps, trace.beeped),
-        )
-        restarted.reverse()
-        rounds.reverse()
-        for t in range(len(rounds)):
-            masks = rounds.pop()
-            while restarted and restarted[-1][0] == t:
-                _, moved, start = restarted.pop()
-                for v in compress(nodes, bit_flags(moved)):
-                    base[v] = start
-            ids = decode_masks(masks, n)
-            for column, rows in columns:
-                rows.append([column[s] for s in ids])
-            trace.round_counter.append(
-                [t - b if t - b < saturation else saturation for b in base]
-            )
-    streak = 0 if streak_start is None else last_t - streak_start
+    streak = 0 if streak_start is None else t - streak_start
     result = SimResult(
         legitimate_round=streak_start,
         closure_verified=(streak >= 2 * period) if streak_start is not None else None,
         horizon=horizon,
-        rounds_run=last_t,
+        rounds_run=t,
         all_lock_round=all_lock_round,
         entered_pulse=entered_pulse,
         pulse_seen=pulse_seen,
@@ -733,7 +707,7 @@ def run_selfstab(
         quiet_pulses=quiet_pulses,
         quiet_lock_delay=lock_delay if quiet_pulses and open_entry is None else None,
     )
-    return result, trace
+    return result, trace if record_trace else None
 
 
 def check_stab_invariants(trace: StabTrace) -> list[Violation]:

@@ -107,7 +107,6 @@ def run_slots(
     slot_end = [off + mu for off in offsets]
     slot_idx = [0] * n
     heard = [False] * n
-    anchored = [False] * n
     records: list[SlotRecord] = []
     heap = [(slot_end[v], v) for v in range(n)]
     heapq.heapify(heap)
@@ -140,26 +139,23 @@ def run_slots(
         slot_start[v] = now
         slot_end[v] = now + mu
         heard[v] = False
-        anchored[v] = False
         heapq.heappush(heap, (slot_end[v], v))
 
         if beeps[s]:
             # beep onset at the new slot's start
             for w in neighbors[v]:
-                if slot_start[w] <= now < slot_end[w]:
+                if slot_start[w] <= now < slot_end[w] and not heard[w]:
                     heard[w] = True
-                    if not anchored[w]:
-                        anchored[w] = True
-                        # extend when the beep changes the listener's next config
-                        sw = ids[w]
-                        if beep_next[sw] != silence_next[sw] and now > slot_start[w]:
-                            slot_end[w] = now + mu
-                            heapq.heappush(heap, (slot_end[w], w))
+                    # the slot's first onset: extend when the beep changes the
+                    # listener's next config
+                    sw = ids[w]
+                    if beep_next[sw] != silence_next[sw] and now > slot_start[w]:
+                        slot_end[w] = now + mu
+                        heapq.heappush(heap, (slot_end[w], w))
         for w in neighbors[v]:
             if beeps[ids[w]] and slot_start[w] <= now < slot_end[w]:
                 # beep already sounding when the slot begins: onset offset 0
                 heard[v] = True
-                anchored[v] = True
                 break
 
     result = SimResult(

@@ -212,6 +212,33 @@ def test_oversized_period_range_or_automaton_is_usage_error(capsys, monkeypatch,
     assert limit in captured.err
 
 
+def _no_round(*args, **kwargs):
+    raise AssertionError("a round was simulated")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("run-fast", "--topology", "line", "--n", "4", "--T", "7", "--wake", "0=0",
+          "--horizon", "-5"), "negative horizon -5"),
+        (("run-selfstab", "--topology", "ring", "--n", "3", "--T", "10", "--seed", "1",
+          "--horizon", "-3"), "negative horizon -3"),
+        (("run-fast", "--topology", "ring", "--n", "4", "--T", "8", "--wake", "0=0",
+          "--horizon", "1000000000"), "cells over the 4194304 limit"),
+        (("run-selfstab", "--topology", "ring", "--n", "3", "--T", "8", "--seed", "1",
+          "--N", "1000000000"), "cells over the 4194304 limit"),
+    ],
+    ids=["run-fast-negative", "run-selfstab-negative", "run-fast-trace-cells",
+         "run-selfstab-trace-cells"],
+)
+def test_bad_horizon_is_usage_error(capsys, monkeypatch, argv, message):
+    monkeypatch.setattr(engine, "advance", _no_round)
+    code, captured = run_cli(capsys, *argv)
+    assert code == 2
+    assert message in captured.err
+    assert captured.out == ""
+
+
 def test_run_selfstab_seeded(capsys):
     code, captured = run_cli(
         capsys, "run-selfstab", "--topology", "clique", "--n", "3",
@@ -287,6 +314,15 @@ def test_run_slots_requires_wake(capsys):
         capsys, "run-slots", "--topology", "line", "--n", "2", "--T", "8"
     )
     assert code == 2
+
+
+def test_run_slots_has_no_format_flag(capsys):
+    # slot records are written as CSV only
+    with pytest.raises(SystemExit) as exc:
+        main(["run-slots", "--topology", "line", "--n", "2", "--T", "8",
+              "--wake", "0=0", "--format", "jsonl"])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -391,11 +427,21 @@ def test_explicit_flag_beats_env(monkeypatch, capsys):
     assert last_json(captured.out)["T"] == 7
 
 
-def test_bad_env_value_exits_two(monkeypatch, capsys):
-    monkeypatch.setenv("BEEPSYNC_T", "seven")
+@pytest.mark.parametrize(
+    "name, value, argv",
+    [
+        ("BEEPSYNC_T", "seven", ["run-fast", "--topology", "line", "--n", "4", "--wake", "0=0"]),
+        ("BEEPSYNC_SLOT_DURATION", "abc",
+         ["run-slots", "--topology", "line", "--n", "3", "--T", "8", "--wake", "0=0"]),
+    ],
+    ids=["T", "slot-duration"],
+)
+def test_bad_env_value_exits_two(monkeypatch, capsys, name, value, argv):
+    monkeypatch.setenv(name, value)
     with pytest.raises(SystemExit) as exc:
-        main(["run-fast", "--topology", "line", "--n", "4", "--wake", "0=0"])
+        main(argv)
     assert exc.value.code == 2
+    assert f"bad value {value!r} in ${name}" in capsys.readouterr().err
 
 
 def test_sweep_small_grid(tmp_path, capsys):
@@ -484,6 +530,12 @@ def test_sweep_row_error_is_usage_error(capsys):
     summary = last_json(captured.out)
     assert summary["errors"] == summary["rows"] == 4
     assert summary["all_ok"] is False
+    code, captured = run_cli(
+        capsys, "sweep", "--mode", "fast", "--kinds", "line",
+        "--n-range", "2:3", "--T-range", "4", "--seeds", "1", "--horizon", "-1",
+    )
+    assert code == 2
+    assert last_json(captured.out)["errors"] == 4
 
 
 def test_sweep_selfstab_mode(capsys):

@@ -1,5 +1,5 @@
-"""Module imports: no beepsync module imports a private name of another, or a
-name it never reads."""
+"""Module imports and helpers: no beepsync module imports a private name of
+another or a name it never reads, and every private helper is read."""
 
 import ast
 from pathlib import Path
@@ -55,3 +55,30 @@ def test_no_module_imports_an_unused_name():
     modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
     assert len(modules) > 1
     assert [hit for path in modules for hit in unused_imports(path)] == []
+
+
+def unreferenced_helpers(paths: list[Path]) -> list[str]:
+    """Top-level ``_name`` functions and classes in ``paths`` that no code in
+    ``paths`` reads outside the helper's own definition."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+    found = []
+    for path, tree in trees.items():
+        for stmt in tree.body:
+            if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) or stmt.name[0] != "_":
+                continue
+            own = {id(node) for node in ast.walk(stmt)}
+            read = any(
+                id(node) not in own
+                and stmt.name in (getattr(node, "id", None), getattr(node, "attr", None))
+                for other in trees.values()
+                for node in ast.walk(other)
+            )
+            if not read:
+                found.append(f"{path.name}:{stmt.lineno} defines {stmt.name}, never read")
+    return found
+
+
+def test_no_private_helper_is_unreferenced():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) > 1
+    assert unreferenced_helpers(modules) == []
