@@ -73,8 +73,19 @@ def _apply_env_defaults(parser: argparse.ArgumentParser) -> None:
                 parser.error(f"bad value {raw!r} in ${name}")
         else:
             value = raw
+        if action.choices is not None and value not in action.choices:
+            parser.error(f"bad value {raw!r} in ${name}")
         action.default = value
         action.required = False
+
+
+class _AppendOverPreset(argparse._AppendAction):
+    """``append``, except that the first explicit flag drops a BEEPSYNC_* preset list."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest, None) is self.default:
+            setattr(namespace, self.dest, None)
+        super().__call__(parser, namespace, values, option_string)
 
 
 def _parse_wakes(pairs: list[str] | None) -> dict[int, int] | None:
@@ -335,6 +346,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.jobs > MAX_JOBS:
         raise ValueError(f"--jobs {args.jobs} is over the {MAX_JOBS} limit")
     seeds = range(args.seeds)
+    spacing = args.q if args.q is not None else (5 if args.mode == "selfstab" else 4)
     schedule_kinds = ("single", "multi") if args.schedule == "both" else (args.schedule,)
     if args.mode == "selfstab":
         schedule_kinds = (None,)
@@ -342,7 +354,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if row_count > MAX_SWEEP_ROWS:
         raise ValueError(f"sweep of {row_count} rows is over the {MAX_SWEEP_ROWS} limit")
     keys = [
-        (args.mode, kind, n, period, args.q, schedule_kind, seed, args.horizon)
+        (args.mode, kind, n, period, spacing, schedule_kind, seed, args.horizon)
         for kind, n, period, schedule_kind, seed
         in product(kinds, sizes, periods, schedule_kinds, seeds)
     ]
@@ -404,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fast = sub.add_parser("run-fast", help="synchronous fast-protocol run")
     _add_common(p_fast, default_q=4)
     p_fast.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-    p_fast.add_argument("--wake", action="append", default=None, metavar="NODE=ROUND")
+    p_fast.add_argument("--wake", action=_AppendOverPreset, metavar="NODE=ROUND")
     p_fast.add_argument("--horizon", type=int, default=None)
     p_fast.set_defaults(func=_cmd_run_fast)
 
@@ -418,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_slots = sub.add_parser("run-slots", help="continuous-time slot run")
     _add_common(p_slots, default_q=4)
-    p_slots.add_argument("--wake", action="append", default=None, metavar="NODE=SLOT")
+    p_slots.add_argument("--wake", action=_AppendOverPreset, metavar="NODE=SLOT")
     p_slots.add_argument("--offsets", default=None, help="comma separated slot offsets")
     p_slots.add_argument("--slot-duration", type=float, default=1.0)
     p_slots.add_argument("--time-horizon", type=float, default=None)
@@ -439,7 +451,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--kinds", default="line,ring,star")
     p_sweep.add_argument("--n-range", default="2:10", help="LO:HI inclusive")
     p_sweep.add_argument("--T-range", default="4:16", help="LO:HI inclusive")
-    p_sweep.add_argument("--q", type=int, default=4)
+    p_sweep.add_argument("--q", type=int, default=None,
+                         help="checkpoint spacing (default 4 for fast, 5 for selfstab)")
     p_sweep.add_argument("--seeds", type=int, default=20)
     p_sweep.add_argument("--schedule", choices=("single", "multi", "both"), default="both")
     p_sweep.add_argument("--horizon", type=int, default=None)

@@ -170,7 +170,6 @@ class FastTrace:
     topology: Topology
     period: int
     spacing: int
-    offset: int
     activation_round: list[int | None]
     clocks: list[list[int]]
     states: list[list[NodeState]]
@@ -291,7 +290,7 @@ def run_fast(
     activation_round: list[int | None] = [None] * n
     jumps = [0] * n
     trace = FastTrace(
-        topology=topology, period=period, spacing=spacing, offset=offset,
+        topology=topology, period=period, spacing=spacing,
         activation_round=activation_round, clocks=[], states=[], induced=[],
         beeped=[], counters=[], induce_event=[],
     )

@@ -263,25 +263,31 @@ class CycleReport:
     counterexample: tuple[Topology, tuple[int, ...]]
 
 
-def _eventual_cycle(next_state: tuple[int, ...], start: int) -> tuple[int, ...]:
-    seen: dict[int, int] = {}
-    seq: list[int] = []
+def _walk(successor: Callable[[object], object], start: object) -> tuple[list, int]:
+    """The states from ``start`` before the first repeat, and where the cycle starts."""
+    seen: dict[object, int] = {}
+    seq: list = []
     s = start
     while s not in seen:
         seen[s] = len(seq)
         seq.append(s)
-        s = next_state[s]
-    return tuple(seq[seen[s]:]) + (s,)
+        s = successor(s)
+    return seq, seen[s]
+
+
+def _eventual_cycle(next_state: tuple[int, ...]) -> tuple[int, ...]:
+    seq, start = _walk(next_state.__getitem__, 0)
+    return tuple(seq[start:]) + (seq[start],)
 
 
 def find_beep_cycle(automaton: ProtocolAutomaton) -> tuple[int, ...]:
     """Eventual cycle from state 0 under constant beep input, first state repeated."""
-    return _eventual_cycle(automaton.beep_next, 0)
+    return _eventual_cycle(automaton.beep_next)
 
 
 def find_silence_cycle(automaton: ProtocolAutomaton) -> tuple[int, ...]:
     """Eventual cycle from state 0 under constant silence, first state repeated."""
-    return _eventual_cycle(automaton.silence_next, 0)
+    return _eventual_cycle(automaton.silence_next)
 
 
 def _spaced_by(marks: list[int], length: int, period: int) -> bool:
@@ -291,13 +297,6 @@ def _spaced_by(marks: list[int], length: int, period: int) -> bool:
         and length % period == 0
         and marks == list(range(marks[0] % period, length, period))
     )
-
-
-def _pulses_every(automaton: ProtocolAutomaton, cycle: tuple[int, ...], period: int) -> bool:
-    """True when beeps around the cycle occur exactly every ``period`` steps."""
-    core = cycle[:-1]
-    marks = [i for i, s in enumerate(core) if automaton.beeps[s]]
-    return _spaced_by(marks, len(core), period)
 
 
 def _check_period(period: int) -> None:
@@ -327,10 +326,9 @@ def classify(
         topo = generate("clique", len(core)) if len(core) > 1 else generate("line", 1)
         return CycleReport(beep_cycle, silence_cycle, Case.B, (topo, core))
 
-    if not _pulses_every(automaton, silence_cycle, period):
-        return CycleReport(
-            beep_cycle, silence_cycle, Case.A1, (generate("line", 1), (0,))
-        )
+    lone = (generate("line", 1), (0,))
+    if not _syncs(automaton, *lone, period):
+        return CycleReport(beep_cycle, silence_cycle, Case.A1, lone)
 
     if period + 1 > node_budget:
         raise NotConstructible(f"star of {period + 1} nodes exceeds budget {node_budget}")
@@ -341,15 +339,12 @@ def classify(
         raise NotConstructible(
             f"silence cycle of length {len(silence_core)} cannot cover {period} phases"
         )
-    anchor = None
-    for i, s in enumerate(silence_core):
-        if automaton.beeps[s] and automaton.clock_of[s] == 0:
-            anchor = i
-            break
-    if anchor is None:
+    clocks = automaton.clock_of
+    anchors = [i for i, s in enumerate(silence_core) if automaton.beeps[s] and clocks[s] == 0]
+    if not anchors:
         raise NotConstructible("silence cycle has no beeping state at clock 0")
     leaves = tuple(
-        silence_core[(anchor + j) % len(silence_core)] for j in range(period)
+        silence_core[(anchors[0] + j) % len(silence_core)] for j in range(period)
     )
     topo = generate("star", period + 1)
     initial = (core[0],) + leaves
@@ -358,43 +353,38 @@ def classify(
 
 def _global_run(
     automaton: ProtocolAutomaton, topology: Topology, initial: tuple[int, ...]
-) -> tuple[list[tuple[int, ...]], int]:
-    """Runs until the global configuration repeats.
+) -> tuple[list[tuple[tuple[int, int], ...]], int]:
+    """Walks the global configuration from ``initial`` until it repeats.
 
-    Returns (sequence of configurations, index where the cycle starts); the
-    sequence ends just before the first repeated configuration.
+    A configuration is the sorted (state id, node set) pairs of the occupied
+    states, as :func:`advance` steps them. Returns (the configurations before
+    the first repeat, the index where the cycle starts).
     """
-    n = topology.node_count
-    seen: dict[tuple[int, ...], int] = {}
-    seq: list[tuple[int, ...]] = []
-    config = tuple(initial)
-    masks = state_masks(config)
-    while config not in seen:
-        seen[config] = len(seq)
-        seq.append(config)
-        masks, _ = advance(automaton, masks, topology.neighborhood)
-        config = tuple(decode_masks(masks, n))
-    return seq, seen[config]
+    def successor(config: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
+        masks, _ = advance(automaton, dict(config), topology.neighborhood)
+        return tuple(sorted(masks.items()))
+
+    return _walk(successor, tuple(sorted(state_masks(initial).items())))
 
 
-def _cycle_synchronized(
-    automaton: ProtocolAutomaton, cycle: list[tuple[int, ...]], period: int
+def _syncs(
+    automaton: ProtocolAutomaton, topology: Topology, initial: tuple[int, ...], period: int
 ) -> bool:
-    """True when the global cycle shows equal clocks and joint period-pulsing."""
-    beep_marks = []
-    for i, config in enumerate(cycle):
-        if automaton.clock_of is not None:
-            values = [automaton.clock_of[s] for s in config]
-        else:
-            values = list(config)
-        if any(v != values[0] for v in values):
+    """True when the run from ``initial`` ends in synchronized pulsing: every
+    configuration of its eventual cycle has one clock and all-or-none beeps,
+    and the beeps come exactly every ``period`` rounds."""
+    seq, start = _global_run(automaton, topology, initial)
+    clock_of = automaton.clock_of
+    beeps = automaton.beeps
+    marks = []
+    for i, config in enumerate(seq[start:]):
+        ids = [s for s, _ in config]
+        clocks = ids if clock_of is None else {clock_of[s] for s in ids}
+        if len(clocks) != 1 or len({beeps[s] for s in ids}) != 1:
             return False
-        row = [automaton.beeps[s] for s in config]
-        if any(row) != all(row):
-            return False
-        if row[0]:
-            beep_marks.append(i)
-    return _spaced_by(beep_marks, len(cycle), period)
+        if beeps[ids[0]]:
+            marks.append(i)
+    return _spaced_by(marks, len(seq) - start, period)
 
 
 def certify_no_sync(
@@ -420,8 +410,7 @@ def certify_no_sync(
     for s in initial:
         if not 0 <= s < automaton.state_count:
             raise ValueError(f"initial state {s} out of range")
-    seq, cycle_start = _global_run(automaton, topology, initial)
-    return not _cycle_synchronized(automaton, seq[cycle_start:], period)
+    return not _syncs(automaton, topology, initial, period)
 
 
 def runtime_lower_bound_demo(automaton: ProtocolAutomaton, period: int) -> float:
@@ -444,11 +433,9 @@ def runtime_lower_bound_demo(automaton: ProtocolAutomaton, period: int) -> float
     if not beep_idx:
         raise NotConstructible("silence cycle never beeps")
     anchor = beep_idx[0]
-    if automaton.clock_of is not None:
-        for i in beep_idx:
-            if automaton.clock_of[silence_core[i]] == 0:
-                anchor = i
-                break
+    clock_of = automaton.clock_of
+    if clock_of is not None:
+        anchor = next((i for i in beep_idx if clock_of[silence_core[i]] == 0), anchor)
     pair = (
         silence_core[anchor],
         silence_core[(anchor + 1) % len(silence_core)],
@@ -456,7 +443,7 @@ def runtime_lower_bound_demo(automaton: ProtocolAutomaton, period: int) -> float
     seq, cycle_start = _global_run(automaton, generate("line", 2), pair)
     # step once more into the cycle: a pair can merge on its first repeat
     seq.append(seq[cycle_start])
-    return next((t for t in range(1, len(seq)) if seq[t][0] == seq[t][1]), float("inf"))
+    return next((t for t in range(1, len(seq)) if len(seq[t]) == 1), float("inf"))
 
 
 def _explore(

@@ -161,7 +161,7 @@ def run_slots(
     result = SimResult(
         sync_time=alignment_time(records, n),
         horizon=int(time_horizon // mu),
-        rounds_run=max((r.slot_index + 1 for r in records), default=0),
+        rounds_run=max(slot_idx, default=0),
     )
     return result, records
 

@@ -433,8 +433,17 @@ def test_explicit_flag_beats_env(monkeypatch, capsys):
         ("BEEPSYNC_T", "seven", ["run-fast", "--topology", "line", "--n", "4", "--wake", "0=0"]),
         ("BEEPSYNC_SLOT_DURATION", "abc",
          ["run-slots", "--topology", "line", "--n", "3", "--T", "8", "--wake", "0=0"]),
+        # a preset outside the flag's choices is refused as the flag would be
+        ("BEEPSYNC_FORMAT", "xml",
+         ["run-fast", "--topology", "line", "--n", "3", "--T", "8", "--wake", "0=0"]),
+        ("BEEPSYNC_MODE", "bogus",
+         ["sweep", "--kinds", "line", "--n-range", "3:3", "--T-range", "4:4",
+          "--seeds", "1", "--schedule", "single"]),
+        ("BEEPSYNC_SCHEDULE", "bogus",
+         ["sweep", "--kinds", "line", "--n-range", "3:3", "--T-range", "4:4", "--seeds", "1"]),
+        ("BEEPSYNC_PROTOCOL", "bogus", ["analyze-fsm", "--T", "8"]),
     ],
-    ids=["T", "slot-duration"],
+    ids=["T", "slot-duration", "format", "mode", "schedule", "protocol"],
 )
 def test_bad_env_value_exits_two(monkeypatch, capsys, name, value, argv):
     monkeypatch.setenv(name, value)
@@ -442,6 +451,32 @@ def test_bad_env_value_exits_two(monkeypatch, capsys, name, value, argv):
         main(argv)
     assert exc.value.code == 2
     assert f"bad value {value!r} in ${name}" in capsys.readouterr().err
+
+
+def test_wake_preset_alone_and_replaced_by_flags(monkeypatch, capsys):
+    monkeypatch.setenv("BEEPSYNC_WAKE", "1=0")
+    line6 = ("run-fast", "--topology", "line", "--n", "6", "--T", "8")
+    code, captured = run_cli(capsys, *line6)
+    assert code == 0
+    assert last_json(captured.out)["sync_round"] == 16
+    # node 0 alone, as without the preset: the line's far end syncs at the bound
+    code, captured = run_cli(capsys, *line6, "--wake", "0=0")
+    assert code == 0
+    assert last_json(captured.out)["sync_round"] == last_json(captured.out)["bound"] == 20
+    args = build_parser().parse_args([*line6, "--wake", "0=0", "--wake", "2=1"])
+    assert args.wake == ["0=0", "2=1"]
+
+
+@pytest.mark.parametrize("mode, q", [("fast", "4"), ("selfstab", "5")])
+def test_sweep_default_q_follows_mode(tmp_path, capsys, mode, q):
+    out = tmp_path / "rows.csv"
+    code, _ = run_cli(
+        capsys, "sweep", "--mode", mode, "--kinds", "clique", "--n-range", "3:3",
+        "--T-range", "8:8", "--seeds", "2", "--out", str(out),
+    )
+    assert code == 0
+    rows = list(csv.DictReader(out.open()))
+    assert rows and all(row["q"] == q for row in rows)
 
 
 def test_sweep_small_grid(tmp_path, capsys):

@@ -393,7 +393,6 @@ def _reference_run_fast(topology, schedule, period, spacing=4, horizon=None, rec
             topology=topology,
             period=period,
             spacing=spacing,
-            offset=offset,
             activation_round=activation_round,
             clocks=clocks_rows,
             states=states_rows,

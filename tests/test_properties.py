@@ -16,6 +16,7 @@ from beepsync.fsm import (
     NotConstructible,
     ProtocolAutomaton,
     _global_run,
+    decode_masks,
     find_silence_cycle,
     format_automaton,
     parse_automaton,
@@ -247,4 +248,6 @@ def test_global_run_matches_per_node_loop(data, automaton, topo):
     n = topo.node_count
     states = st.integers(0, automaton.state_count - 1)
     initial = tuple(data.draw(st.lists(states, min_size=n, max_size=n)))
-    assert _global_run(automaton, topo, initial) == per_node_global_run(automaton, topo, initial)
+    seq, start = _global_run(automaton, topo, initial)
+    decoded = [tuple(decode_masks(dict(config), n)) for config in seq]
+    assert (decoded, start) == per_node_global_run(automaton, topo, initial)
