@@ -28,7 +28,6 @@ from .fast_protocol import (
     BeepClass,
     FastNodeConfig,
     NodeState,
-    RoundInput,
     classify_beep,
     config_bit_width,
     decode_config,

@@ -79,6 +79,15 @@ def _apply_env_defaults(parser: argparse.ArgumentParser) -> None:
         action.required = False
 
 
+class _PresetParser(argparse.ArgumentParser):
+    """A subcommand's parser: its own BEEPSYNC_* presets apply when it parses,
+    so a preset for another subcommand's flag never reaches it."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        _apply_env_defaults(self)
+        return super().parse_known_args(args, namespace)
+
+
 class _AppendOverPreset(argparse._AppendAction):
     """``append``, except that the first explicit flag drops a BEEPSYNC_* preset list."""
 
@@ -411,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="beepsync",
         description="Beeping-model clock synchronization simulators and analyzers",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_PresetParser)
 
     p_fast = sub.add_parser("run-fast", help="synchronous fast-protocol run")
     _add_common(p_fast, default_q=4)
@@ -460,9 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help=f"worker processes, at most {MAX_JOBS} (1 runs in-process)")
     p_sweep.add_argument("--out", default=None, help="row CSV output path")
     p_sweep.set_defaults(func=_cmd_sweep)
-
-    for child in sub.choices.values():
-        _apply_env_defaults(child)
     return parser
 
 

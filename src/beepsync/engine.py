@@ -566,8 +566,7 @@ def run_selfstab(
     budget = sync_round_budget(node_bound, period, spacing)
     if horizon is None:
         horizon = 50 * max(period, budget, 4 * node_bound)
-    # a run with a stability window can stop long before its horizon
-    _check_horizon(horizon, n if record_trace and stability_window is None else 0)
+    _check_horizon(horizon, n if record_trace else 0)
     if len(initial) != n:
         raise ValueError(f"need {n} initial configs, got {len(initial)}")
     for cfg in initial:
@@ -732,14 +731,13 @@ def check_stab_invariants(trace: StabTrace) -> list[Violation]:
     saturation = max_round_counter(trace.node_bound, budget)
     lock_length = 4 * trace.node_bound
     cps = compute_checkpoints(trace.period, trace.spacing)
+    # the repaired state depends on the clock and the state alone
     repaired = _Memo(lambda key: consistency_check(
-        StabNodeConfig(key[0], StabState(key[1]), *key[2:]), cps
+        StabNodeConfig(key[0], StabState(key[1]), False, 0, 0), cps
     ).state)
     post_rows = [
-        list(map(repaired.__getitem__, zip(clocks, map(_value, states), induced, rcs, bcs)))
-        for clocks, states, induced, rcs, bcs in zip(
-            trace.clocks, trace.states, trace.induced, trace.round_counter, trace.beep_count
-        )
+        list(map(repaired.__getitem__, zip(clocks, map(_value, states))))
+        for clocks, states in zip(trace.clocks, trace.states)
     ]
     bits = [1 << v for v in range(trace.topology.node_count)]
     beep_masks = [sum(compress(bits, row)) for row in trace.beeped]

@@ -40,14 +40,6 @@ class FastNodeConfig:
     induced: bool
 
 
-@dataclass(frozen=True, slots=True)
-class RoundInput:
-    """What a node perceives during one round."""
-
-    heard_beep: bool
-    adversary_wakes: bool = False
-
-
 INACTIVE_CONFIG = FastNodeConfig(clock=0, state=NodeState.INACTIVE, induced=False)
 ACTIVATION_CONFIG = FastNodeConfig(clock=1, state=NodeState.BEEP, induced=True)
 
@@ -57,11 +49,11 @@ def will_beep(config: FastNodeConfig) -> bool:
     return config.state is NodeState.BEEP
 
 
-def step(config: FastNodeConfig, inputs: RoundInput, checkpoints: CheckpointSet) -> FastNodeConfig:
+def step(config: FastNodeConfig, heard: bool, checkpoints: CheckpointSet) -> FastNodeConfig:
     """Computes the config at the beginning of the next round.
 
     Branches, first match wins:
-      1. inactive and (heard or woken): activate as (1, beep, induced).
+      1. inactive and heard: activate as (1, beep, induced).
       2. inactive: unchanged.
       3. beeping: advance clock by one, go listening; flag untouched.
       4. listening, heard, clock one before a checkpoint: jump two, beep,
@@ -72,7 +64,8 @@ def step(config: FastNodeConfig, inputs: RoundInput, checkpoints: CheckpointSet)
 
     Args:
         config: State at the beginning of the round.
-        inputs: Beep perception and adversary wake for this round.
+        heard: Whether a neighbour beeped this round. An adversary wake
+            reaches an inactive node as this bit (see ``fsm.advance``).
         checkpoints: Checkpoint set for the protocol's period.
 
     Returns:
@@ -81,12 +74,12 @@ def step(config: FastNodeConfig, inputs: RoundInput, checkpoints: CheckpointSet)
     state = config.state
     period = checkpoints.period
     if state is NodeState.INACTIVE:
-        if inputs.heard_beep or inputs.adversary_wakes:
+        if heard:
             return ACTIVATION_CONFIG
         return config
     if state is NodeState.BEEP:
         return FastNodeConfig((config.clock + 1) % period, NodeState.LISTEN, config.induced)
-    if inputs.heard_beep:
+    if heard:
         if checkpoints.is_pre_checkpoint(config.clock):
             return FastNodeConfig((config.clock + 2) % period, NodeState.BEEP, True)
         return FastNodeConfig((config.clock + 1) % period, NodeState.LISTEN, config.induced)

@@ -27,7 +27,7 @@ from functools import lru_cache
 from itertools import compress, product
 from typing import Callable, Sequence
 
-from .fast_protocol import INACTIVE_CONFIG, RoundInput, step, will_beep
+from .fast_protocol import INACTIVE_CONFIG, step, will_beep
 from .checkpoints import CheckpointSet, compute_checkpoints, sync_round_budget
 from .selfstab import (
     StabNodeConfig,
@@ -143,18 +143,14 @@ def advance(
     return nxt, heard
 
 
-_SILENT = RoundInput(False)
-_HEARD = RoundInput(True)
-
-
 def repair_and_step(
     config: StabNodeConfig, checkpoints: CheckpointSet, node_bound: int, budget: int
 ) -> tuple[StabNodeConfig, StabNodeConfig, StabNodeConfig]:
     """A self-stabilizing node's round: its config after the consistency
     repair, and its next config on silence and on a heard beep."""
     checked = consistency_check(config, checkpoints)
-    quiet = stab_step(checked, _SILENT, checkpoints, node_bound, budget)
-    return checked, quiet, stab_step(checked, _HEARD, checkpoints, node_bound, budget)
+    quiet = stab_step(checked, False, checkpoints, node_bound, budget)
+    return checked, quiet, stab_step(checked, True, checkpoints, node_bound, budget)
 
 
 _STATE_DIGIT = {state: d for d, state in enumerate(StabState)}
@@ -413,21 +409,18 @@ def certify_no_sync(
     return not _syncs(automaton, topology, initial, period)
 
 
-def runtime_lower_bound_demo(automaton: ProtocolAutomaton, period: int) -> float:
+def runtime_lower_bound_demo(automaton: ProtocolAutomaton) -> float:
     """First round at which two phase-shifted correct nodes can agree.
 
     Places two adjacent nodes one silence-cycle step apart, starting at the
     beeping anchor of the silence cycle, and runs them until their states
     merge. Returns the merge round (at least 1), or infinity when the pair
-    provably cycles without merging. The merge round does not depend on
-    ``period``; it is validated as :func:`classify` validates it.
+    provably cycles without merging.
 
     Raises:
-        ValueError: If ``period`` is not positive.
         NotConstructible: When the silence cycle never beeps, so the phase
             offset is meaningless.
     """
-    _check_period(period)
     silence_core = find_silence_cycle(automaton)[:-1]
     beep_idx = [i for i, s in enumerate(silence_core) if automaton.beeps[s]]
     if not beep_idx:
@@ -490,7 +483,7 @@ def extract_fast_automaton(
     cps = compute_checkpoints(period, spacing)
     return _explore(
         INACTIVE_CONFIG,
-        lambda cfg: (will_beep(cfg), step(cfg, _SILENT, cps), step(cfg, _HEARD, cps)),
+        lambda cfg: (will_beep(cfg), step(cfg, False, cps), step(cfg, True, cps)),
     )
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .checkpoints import CheckpointSet
-from .fast_protocol import FastNodeConfig, NodeState, RoundInput, step
+from .fast_protocol import FastNodeConfig, NodeState, step
 
 
 class StabState(Enum):
@@ -100,7 +100,7 @@ def consistency_check(config: StabNodeConfig, checkpoints: CheckpointSet) -> Sta
 
 def stab_step(
     config: StabNodeConfig,
-    inputs: RoundInput,
+    heard: bool,
     checkpoints: CheckpointSet,
     node_bound: int,
     budget: int,
@@ -122,7 +122,7 @@ def stab_step(
     Args:
         config: State at the beginning of the round, already repaired by
             :func:`consistency_check`.
-        inputs: Beep perception for this round.
+        heard: Whether a neighbour beeped this round.
         checkpoints: Checkpoint set for the protocol's period.
         node_bound: The size bound the node was configured with.
         budget: Error-detection threshold in rounds.
@@ -137,16 +137,15 @@ def stab_step(
     state = config.state
 
     if state is StabState.BEEP or state is StabState.LISTEN:
-        heard = inputs.heard_beep
         beeps = min(config.beep_count + 1, 4) if heard or state is StabState.BEEP else 0
         if beeps >= 4 or (heard and state is StabState.LISTEN and rounds > budget):
             return StabNodeConfig(config.clock, StabState.PULSE, config.induced, 0, beeps)
         fast = FastNodeConfig(config.clock, _FAST_STATE[state], config.induced)
-        nxt = step(fast, inputs, checkpoints)
+        nxt = step(fast, heard, checkpoints)
         return StabNodeConfig(nxt.clock, _STAB_STATE[nxt.state], nxt.induced, rounds, beeps)
 
     if state is StabState.INACTIVE:
-        if inputs.heard_beep or rounds >= 4 * node_bound:
+        if heard or rounds >= 4 * node_bound:
             return StabNodeConfig(1, StabState.BEEP, True, 0, 1)
     elif state is StabState.PULSE:
         if rounds >= 4:

@@ -334,7 +334,7 @@ def test_criterion_08_lower_bound_witness():
     demos = {}
     for period in (5, 6, 8):
         auto = extract_selfstab_automaton(period, 5, 2)
-        demos[period] = runtime_lower_bound_demo(auto, period)
+        demos[period] = runtime_lower_bound_demo(auto)
     elapsed = time.perf_counter() - start
     demo_ok = all(value >= period for period, value in demos.items())
     ok = size_ok and certified and demo_ok and elapsed < 30.0

@@ -453,6 +453,26 @@ def test_bad_env_value_exits_two(monkeypatch, capsys, name, value, argv):
     assert f"bad value {value!r} in ${name}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "name, value, argv",
+    [
+        ("BEEPSYNC_MODE", "bogus",
+         ["run-fast", "--topology", "line", "--n", "3", "--T", "8", "--wake", "0=0"]),
+        ("BEEPSYNC_T", "abc",
+         ["sweep", "--kinds", "line", "--n-range", "3:3", "--T-range", "4:4", "--seeds", "1"]),
+        ("BEEPSYNC_SLOT_DURATION", "abc",
+         ["run-fast", "--topology", "line", "--n", "3", "--T", "8", "--wake", "0=0"]),
+    ],
+    ids=["mode-run-fast", "T-sweep", "slot-duration-run-fast"],
+)
+def test_preset_for_another_subcommand_is_ignored(monkeypatch, capsys, name, value, argv):
+    # a preset is checked only by the subcommand whose flag it sets
+    monkeypatch.setenv(name, value)
+    code, captured = run_cli(capsys, *argv)
+    assert code == 0
+    assert "bad value" not in captured.err
+
+
 def test_wake_preset_alone_and_replaced_by_flags(monkeypatch, capsys):
     monkeypatch.setenv("BEEPSYNC_WAKE", "1=0")
     line6 = ("run-fast", "--topology", "line", "--n", "6", "--T", "8")

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from beepsync import engine
 from beepsync.checkpoints import compute_checkpoints, fast_runtime_bound, sync_round_budget
 from beepsync.engine import (
     TRACE_FIELDS,
@@ -40,7 +41,6 @@ from beepsync.fast_protocol import (
     INACTIVE_CONFIG,
     FastNodeConfig,
     NodeState,
-    RoundInput,
     classify_beep,
     step,
 )
@@ -203,6 +203,19 @@ def test_selfstab_rejects_out_of_domain_initial():
         run_selfstab(topo, bad, 8, spacing=5)
 
 
+def test_windowed_selfstab_trace_is_capped(monkeypatch):
+    # a stability window can stop a run early but does not bound its trace:
+    # ring-1000 settles near round 28,800, about 28.8M cells
+    def no_round(*args, **kwargs):
+        raise AssertionError("a round was simulated")
+
+    monkeypatch.setattr(engine, "advance", no_round)
+    budget = sync_round_budget(1000, 12, 5)
+    initial = random_configs(1000, 12, 1000, budget, 0)
+    with pytest.raises(ValueError, match="cells over the 4194304 limit"):
+        run_selfstab(generate("ring", 1000), initial, 12, stability_window=48)
+
+
 def test_stab_invariants_flag_counter_jump():
     topo = generate("clique", 3)
     budget = sync_round_budget(3, 10, 5)
@@ -362,7 +375,8 @@ def _reference_run_fast(topology, schedule, period, spacing=4, horizon=None, rec
                     heard = True
                     break
             old = configs[v]
-            nxt = step(old, RoundInput(heard, wake.get(v) == raw), cps)
+            woken = wake.get(v) == raw
+            nxt = step(old, heard or (woken and old.state is NodeState.INACTIVE), cps)
             if old.state is NodeState.INACTIVE:
                 if nxt.state is not NodeState.INACTIVE:
                     counters[v] = 0
@@ -574,7 +588,7 @@ def _reference_run_selfstab(
                 if beeping[w]:
                     heard = True
                     break
-            nxt = stab_step(checked[v], RoundInput(heard), cps, node_bound, budget)
+            nxt = stab_step(checked[v], heard, cps, node_bound, budget)
             if nxt.state is StabState.PULSE and configs[v].state is not StabState.PULSE:
                 entered_pulse = True
             new_configs.append(nxt)
@@ -716,12 +730,14 @@ def test_selfstab_counter_calendar_traps():
 def test_selfstab_matches_reference_on_ring_100(node_bound):
     # far past the Hypothesis sizes: the 4N and budget thresholds are crossed
     # with many calendar entries pending; built from its edges, the ring has
-    # no diameter filled in by generate
+    # no diameter filled in by generate. Both runs settle by round 2,704, so
+    # the 10,000-round horizon only keeps the trace under MAX_TRACE_CELLS.
     topo = build(list(generate("ring", 100).edges), 100)
     bound = 100 if node_bound is None else node_bound
     budget = sync_round_budget(bound, 12, 5)
     initial = random_configs(100, 12, bound, budget, seed=0)
-    trace = assert_same_selfstab_run((topo, initial, 12, 5, node_bound, None, 48))
+    trace = assert_same_selfstab_run((topo, initial, 12, 5, node_bound, 10_000, 48))
+    assert trace.round_count() < 10_000
     assert trace.round_count() > 4 * bound
     # a self-stabilizing run never reads the diameter, so it is never computed
     assert "diameter" not in topo.__dict__

@@ -9,7 +9,6 @@ from beepsync.fast_protocol import (
     BeepClass,
     FastNodeConfig,
     NodeState,
-    RoundInput,
     classify_beep,
     config_bit_width,
     decode_config,
@@ -17,13 +16,13 @@ from beepsync.fast_protocol import (
     step,
     will_beep,
 )
-from beepsync.fsm import extract_fast_automaton
+from beepsync.fsm import advance, extract_fast_automaton
+from beepsync.topology import generate
 
 CP19 = compute_checkpoints(19, 4)
 CP12 = compute_checkpoints(12, 4)
-SILENT = RoundInput(heard_beep=False)
-HEARD = RoundInput(heard_beep=True)
-WAKE = RoundInput(heard_beep=False, adversary_wakes=True)
+SILENT = False
+HEARD = True
 
 
 def cfg(clock, state, induced):
@@ -37,7 +36,12 @@ def test_will_beep():
 
 
 def test_activation_by_adversary():
-    assert step(INACTIVE_CONFIG, WAKE, CP19) == ACTIVATION_CONFIG
+    # a wake reaches a node in state 0 as a heard beep, with no neighbour beeping
+    table = extract_fast_automaton(19)
+    masks, heard = advance(table, {0: 0b1}, generate("line", 1).neighborhood, woken=0b1)
+    assert heard == 0
+    assert masks == {table.beep_next[0]: 0b1}
+    assert table.labels[table.beep_next[0]] == ACTIVATION_CONFIG
     assert ACTIVATION_CONFIG == cfg(1, NodeState.BEEP, True)
 
 
@@ -94,12 +98,10 @@ def test_step_total_and_deterministic():
             for state in NodeState:
                 for induced in (False, True):
                     for heard in (False, True):
-                        for wakes in (False, True):
-                            c = cfg(clock, state, induced)
-                            inputs = RoundInput(heard, wakes)
-                            first = step(c, inputs, cps)
-                            assert 0 <= first.clock < period
-                            assert step(c, inputs, cps) == first
+                        c = cfg(clock, state, induced)
+                        first = step(c, heard, cps)
+                        assert 0 <= first.clock < period
+                        assert step(c, heard, cps) == first
 
 
 def test_encode_rejects_out_of_range_clock():
@@ -138,13 +140,13 @@ def test_reachable_beep_clocks_sit_next_to_checkpoints():
 
 
 def test_reachable_configs_closed_under_step():
-    # the adversary wake is not an input of the automaton; closure under it
-    # shows that dropping it loses no config
+    # an adversary wake is a heard beep to an inactive node, so the two
+    # inputs reach every config a run can
     cps = CP12
     reach = set(extract_fast_automaton(12).labels)
     for c in reach:
-        for inputs in (SILENT, HEARD, WAKE):
-            assert step(c, inputs, cps) in reach
+        for heard in (SILENT, HEARD):
+            assert step(c, heard, cps) in reach
 
 
 def test_encode_decode_round_trip():

@@ -1,7 +1,6 @@
 import pytest
 
 from beepsync.checkpoints import CheckpointSet, compute_checkpoints, sync_round_budget
-from beepsync.fast_protocol import RoundInput
 from beepsync.selfstab import (
     StabNodeConfig,
     StabState,
@@ -20,8 +19,8 @@ from beepsync.selfstab import (
 
 CP12 = compute_checkpoints(12, 5)
 CP10 = compute_checkpoints(10, 5)
-SILENT = RoundInput(heard_beep=False)
-HEARD = RoundInput(heard_beep=True)
+SILENT = False
+HEARD = True
 
 
 def cfg(clock, state, induced=False, r=0, b=0):
@@ -220,7 +219,7 @@ def test_save_and_load_configs(tmp_path):
 
 def _reference_stab_step(
     config: StabNodeConfig,
-    inputs: RoundInput,
+    heard: bool,
     checkpoints: CheckpointSet,
     node_bound: int,
     budget: int,
@@ -235,7 +234,7 @@ def _reference_stab_step(
     state = config.state
 
     if state is StabState.INACTIVE:
-        if inputs.heard_beep or rounds >= 4 * node_bound:
+        if heard or rounds >= 4 * node_bound:
             return StabNodeConfig(1, StabState.BEEP, True, 0, 1)
         return StabNodeConfig(config.clock, state, config.induced, rounds, config.beep_count)
 
@@ -248,7 +247,7 @@ def _reference_stab_step(
         )
 
     if state is StabState.LISTEN:
-        if inputs.heard_beep:
+        if heard:
             beeps = min(config.beep_count + 1, 4)
             if beeps >= 4 or rounds > budget:
                 return StabNodeConfig(config.clock, StabState.PULSE, config.induced, 0, beeps)
@@ -288,9 +287,9 @@ def test_stab_step_matches_reference_on_whole_domain(period):
                         for induced in (False, True):
                             for b in range(5):
                                 c = StabNodeConfig(clock, state, induced, r, b)
-                                for inputs in (SILENT, HEARD):
+                                for heard in (SILENT, HEARD):
                                     assert stab_step(
-                                        c, inputs, cps, node_bound, budget
+                                        c, heard, cps, node_bound, budget
                                     ) == _reference_stab_step(
-                                        c, inputs, cps, node_bound, budget
-                                    ), (c, inputs, spacing, node_bound)
+                                        c, heard, cps, node_bound, budget
+                                    ), (c, heard, spacing, node_bound)

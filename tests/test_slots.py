@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from beepsync.checkpoints import compute_checkpoints, fast_runtime_bound
 from beepsync.engine import ActivationSchedule, SimResult, run_fast, single_source_schedule
-from beepsync.fast_protocol import INACTIVE_CONFIG, NodeState, RoundInput, step, will_beep
+from beepsync.fast_protocol import INACTIVE_CONFIG, NodeState, step, will_beep
 from beepsync.fsm import extract_fast_automaton
 from beepsync.slots import (
     SLOT_FIELDS,
@@ -253,7 +253,7 @@ def _reference_run_slots(
                 heard=heard[v],
             )
         )
-        configs[v] = step(old, RoundInput(heard[v], woke), cps)
+        configs[v] = step(old, heard[v] or (woke and old.state is NodeState.INACTIVE), cps)
         slot_idx[v] += 1
         slot_start[v] = now
         slot_end[v] = now + mu
