@@ -346,15 +346,21 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     kinds = [k for k in args.kinds.split(",") if k]
     sizes = _parse_range(args.n_range)
     periods = _parse_range(args.T_range)
+    seeds = range(args.seeds)
     # checked before the key list, which grows with the ranges, is built
+    for flag, text, values in (
+        ("--kinds", args.kinds, kinds), ("--n-range", args.n_range, sizes),
+        ("--T-range", args.T_range, periods), ("--seeds", args.seeds, seeds),
+    ):
+        if not values:
+            raise ValueError(f"{flag} {text} gives an empty sweep")
     for flag, values, cap in (
         ("--n-range", sizes, MAX_NODES), ("--T-range", periods, MAX_PERIOD)
     ):
-        if values and values[-1] > cap:
+        if values[-1] > cap:
             raise ValueError(f"{flag} reaches {values[-1]}, over the {cap} limit")
     if args.jobs > MAX_JOBS:
         raise ValueError(f"--jobs {args.jobs} is over the {MAX_JOBS} limit")
-    seeds = range(args.seeds)
     spacing = args.q if args.q is not None else (5 if args.mode == "selfstab" else 4)
     schedule_kinds = ("single", "multi") if args.schedule == "both" else (args.schedule,)
     if args.mode == "selfstab":
@@ -368,7 +374,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         in product(kinds, sizes, periods, schedule_kinds, seeds)
     ]
 
-    if args.jobs > 1 and keys:
+    if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # 25 ms; only pools need it
 
         with ProcessPoolExecutor(max_workers=min(args.jobs, len(keys))) as pool:
@@ -391,7 +397,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         "rows": len(rows),
         "converged": len(measured),
         "errors": errors,
-        "all_ok": all(row["ok"] for row in rows) if rows else True,
+        "all_ok": all(row["ok"] for row in rows),
         "max_" + sync_key: max(measured) if measured else None,
         "mean_" + sync_key: (
             round(sum(measured) / len(measured), 6) if measured else None

@@ -276,7 +276,7 @@ def run_fast(
     woken: dict[int, int] = {}
     for node, rnd in schedule.wake_round.items():
         woken[rnd - offset] = woken.get(rnd - offset, 0) | 1 << node
-    neighborhood = topology.neighborhood
+    neighborhood = topology.neighborhood_for_run()
     configs = table.labels
     clock_of = table.clock_of
     beeps = table.beeps
@@ -573,7 +573,7 @@ def run_selfstab(
         validate_config(cfg, period, node_bound, budget)
 
     table = build_stab_table(period, spacing)
-    neighborhood = topology.neighborhood
+    neighborhood = topology.neighborhood_for_run()
     states = table.state
     legit_clocks = table.legit_clock
     beep_next = table.beep_next

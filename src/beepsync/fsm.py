@@ -113,9 +113,10 @@ def advance(
 
     A node set is an int whose bit v stands for node v. ``masks`` maps each
     occupied state id to its nodes, and ``neighborhood`` maps a node set to
-    the nodes adjacent to it (``Topology.neighborhood``). A node hears a beep
-    when some neighbour sits in a beeping state; a node in state 0 whose bit
-    is set in ``woken`` takes the beep input as well. Only ``table.beeps``,
+    the nodes adjacent to it: ``Topology.neighborhood``, or the per-run memo
+    that ``Topology.neighborhood_for_run`` returns. A node hears a beep when
+    some neighbour sits in a beeping state; a node in state 0 whose bit is
+    set in ``woken`` takes the beep input as well. Only ``table.beeps``,
     ``table.beep_next`` and ``table.silence_next`` are read, at the occupied
     ids.
 
@@ -356,8 +357,10 @@ def _global_run(
     states, as :func:`advance` steps them. Returns (the configurations before
     the first repeat, the index where the cycle starts).
     """
+    neighborhood = topology.neighborhood_for_run()
+
     def successor(config: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
-        masks, _ = advance(automaton, dict(config), topology.neighborhood)
+        masks, _ = advance(automaton, dict(config), neighborhood)
         return tuple(sorted(masks.items()))
 
     return _walk(successor, tuple(sorted(state_masks(initial).items())))

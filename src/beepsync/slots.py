@@ -97,6 +97,8 @@ def run_slots(
         time_horizon = max(offsets) + mu * (slots_needed + schedule.min_wake() + 2)
     if not (math.isfinite(time_horizon) and time_horizon <= mu * MAX_SLOTS):
         raise ValueError(f"time horizon {time_horizon} not finite or over {MAX_SLOTS} slots")
+    if time_horizon < 0:
+        raise ValueError(f"negative time horizon {time_horizon}")
 
     beep_next, silence_next = table.beep_next, table.silence_next
     beeps, labels = table.beeps, table.labels

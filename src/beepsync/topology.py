@@ -9,14 +9,23 @@ from functools import cached_property, reduce
 from itertools import compress, repeat
 from math import ceil, floor
 from operator import or_
+from typing import Callable
 
 # A graph takes its neighbourhoods by shifts when it has fewer than
 # node_count / _BAND_RATIO distinct edge offsets. A shift costs about five
 # n-bit operations per offset, the neighbour-set OR one per beeping node; on
 # graphs with m random offsets and one node in eight beeping, the two break
 # even at n / m of about 8, 16 and 20 for n = 100, 1,000 and 3,000 (2-core
-# x86, Python 3.11).
+# x86, Python 3.11). Only the neighbour-set OR is memoized per run (see
+# Topology.neighborhood_for_run): shifts are cheap, and a single-source run
+# on a 500-node ring beeps no set twice in its 1,001 rounds.
 _BAND_RATIO = 16
+
+# The most beeping sets one run's neighbourhood memo keeps. A key and its
+# value are two node sets of up to n bits, 4.3 KiB together with their int
+# headers at MAX_NODES, so a full memo holds at most 17.4 MiB with its hash
+# table; later misses are computed and not stored.
+MAX_MEMO_ENTRIES = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -57,7 +66,8 @@ class Topology:
         On a graph with few edge offsets (rings, lines, grids) this is a few
         shifts per offset, the DIA sparse-matrix format of Bell and Garland
         (SC'09) with OR in place of +; otherwise it ORs the neighbour sets of
-        the nodes in ``nodes``.
+        the nodes in ``nodes``. Only that OR path is memoized, one memo per
+        run, by :meth:`neighborhood_for_run`.
         """
         bands = self.bands
         if not bands:
@@ -67,10 +77,35 @@ class Topology:
             near |= (nodes & band) << k | (nodes >> k) & band
         return near
 
+    def neighborhood_for_run(self) -> Callable[[int], int]:
+        """:meth:`neighborhood` for one run: on a graph with bands the method
+        itself, otherwise a fresh memo from a beeping set to its neighbour-set
+        OR. Synchronized groups beep the same sets again and again, so a run
+        computes each one once; the memo is dropped with the run, and nothing
+        is stored on the shared, frozen topology."""
+        if self.bands:
+            return self.neighborhood
+        return _NeighborhoodMemo(self.neighborhood).__getitem__
+
     @cached_property
     def diameter(self) -> int:
         """Longest shortest path, 0 for a single node, computed on first read."""
         return _diameter(self.neighbors, max(bfs_distances(self.neighbors, 0)))
+
+
+class _NeighborhoodMemo(dict):
+    """Maps a node set to ``neighborhood(nodes)``, computed on a miss and
+    kept while the memo holds fewer than MAX_MEMO_ENTRIES sets."""
+
+    def __init__(self, neighborhood: Callable[[int], int]) -> None:
+        super().__init__()
+        self.neighborhood = neighborhood
+
+    def __missing__(self, nodes: int) -> int:
+        near = self.neighborhood(nodes)
+        if len(self) < MAX_MEMO_ENTRIES:
+            self[nodes] = near
+        return near
 
 
 _FLAG_BYTES = bytes.maketrans(b"01", b"\x00\x01")

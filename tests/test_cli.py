@@ -327,8 +327,9 @@ def test_run_slots_has_no_format_flag(capsys):
 
 @pytest.mark.parametrize(
     "option",
-    [("--slot-duration", "inf"), ("--time-horizon", "inf"), ("--time-horizon", "nan")],
-    ids=["slot-duration-inf", "time-horizon-inf", "time-horizon-nan"],
+    [("--slot-duration", "inf"), ("--time-horizon", "inf"), ("--time-horizon", "nan"),
+     ("--time-horizon", "-1")],
+    ids=["slot-duration-inf", "time-horizon-inf", "time-horizon-nan", "time-horizon-negative"],
 )
 def test_run_slots_non_finite_time_is_usage_error(capsys, option):
     code, captured = run_cli(
@@ -336,7 +337,7 @@ def test_run_slots_non_finite_time_is_usage_error(capsys, option):
         "--wake", "0=0", *option,
     )
     assert code == 2
-    assert "finite" in captured.err
+    assert ("negative" if option[1] == "-1" else "finite") in captured.err
 
 
 @pytest.mark.parametrize(
@@ -566,14 +567,17 @@ def test_cli_import_leaves_the_process_pool_unloaded():
 
 
 def test_sweep_empty_grid(capsys):
-    code, captured = run_cli(
-        capsys, "sweep", "--mode", "fast", "--kinds", "line",
-        "--n-range", "3:2", "--T-range", "4:4", "--seeds", "2",
-    )
-    assert code == 0
-    summary = last_json(captured.out)
-    assert summary["rows"] == 0
-    assert summary["max_sync_round"] is None
+    for flag, value in (
+        ("--n-range", "3:2"), ("--T-range", "8:4"), ("--seeds", "-1"), ("--seeds", "0"),
+        ("--kinds", ","),
+    ):
+        grid = {"--kinds": "line", "--n-range": "3", "--T-range": "4", "--seeds": "2", flag: value}
+        code, captured = run_cli(
+            capsys, "sweep", "--mode", "fast", *(text for item in grid.items() for text in item)
+        )
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {flag} {value} gives an empty sweep"]
 
 
 def test_sweep_row_error_is_usage_error(capsys):
@@ -673,6 +677,8 @@ def _reference_sweep(args) -> int:
     sizes = _parse_range(args.n_range)
     periods = _parse_range(args.T_range)
     seeds = range(args.seeds)
+    if not (kinds and sizes and periods and seeds):
+        raise ValueError("empty sweep")
     keys = []
     if args.mode == "fast":
         schedule_kinds = (
@@ -759,10 +765,19 @@ def sweep_argv(draw):
 def test_sweep_matches_reference(tmp_path_factory, argv):
     out = tmp_path_factory.mktemp("sweep")
     outputs = []
-    for run in (main, lambda a: _reference_sweep(build_parser().parse_args(a))):
+    for run in (main, _reference_main):
         path = out / f"rows{len(outputs)}.csv"
-        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        with contextlib.redirect_stdout(io.StringIO()) as stdout, \
+                contextlib.redirect_stderr(io.StringIO()):
             code = run(argv + ["--out", str(path)])
-        outputs.append((code, stdout.getvalue(), path.read_bytes()))
+        # an empty grid is refused before the rows file is opened
+        outputs.append((code, stdout.getvalue(), path.read_bytes() if path.exists() else None))
     assert outputs[0] == outputs[1]
+
+
+def _reference_main(argv) -> int:
+    try:
+        return _reference_sweep(build_parser().parse_args(argv))
+    except ValueError:
+        return EXIT_USAGE
 

@@ -2,6 +2,7 @@ import copy
 import csv
 import json
 from dataclasses import fields
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -44,7 +45,8 @@ from beepsync.fast_protocol import (
     classify_beep,
     step,
 )
-from beepsync.topology import KINDS, build, generate
+from beepsync.fsm import certify_no_sync, classify, extract_fast_automaton
+from beepsync.topology import KINDS, Topology, build, generate
 
 
 def test_schedule_validation():
@@ -464,6 +466,16 @@ def test_untraced_run_matches_per_node_reference(run):
     assert result == expected
 
 
+@pytest.mark.parametrize("cap", [0, 1])
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(run=fast_runs())
+def test_fast_runs_match_per_node_reference_with_capped_memo(cap, run):
+    """A memo that stores no beeping set, or only the first, gives the same runs."""
+    with mock.patch("beepsync.topology.MAX_MEMO_ENTRIES", cap):
+        test_traced_run_matches_per_node_reference.hypothesis.inner_test(run)
+        test_untraced_run_matches_per_node_reference.hypothesis.inner_test(run)
+
+
 @settings(derandomize=True, deadline=None, max_examples=100)
 @given(fast_runs(max_nodes=40))
 def test_untraced_run_stops_at_its_sync_round(run):
@@ -664,6 +676,32 @@ def test_untraced_selfstab_matches_per_node_reference(run):
     expected, _ = _reference_run_selfstab(*run, record_trace=False)
     assert trace is None
     assert result == expected
+
+
+@pytest.mark.parametrize("cap", [0, 1])
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(run=stab_runs())
+def test_selfstab_runs_match_per_node_reference_with_capped_memo(cap, run):
+    """A memo that stores no beeping set, or only the first, gives the same runs."""
+    with mock.patch("beepsync.topology.MAX_MEMO_ENTRIES", cap):
+        test_traced_selfstab_matches_per_node_reference.hypothesis.inner_test(run)
+        test_untraced_selfstab_matches_per_node_reference.hypothesis.inner_test(run)
+
+
+def test_runs_leave_no_cache_on_the_topology():
+    """Each run's neighbourhood memo is dropped with the run; the shared
+    topology keeps only its fields and its cached properties."""
+    kept = {f.name for f in fields(Topology)} | {"neighbor_masks", "bands", "diameter"}
+    auto = extract_fast_automaton(4)
+    counterexample = classify(auto, 4).counterexample
+    assert certify_no_sync(auto, counterexample, 4)
+    for topo in (counterexample[0], generate("random_connected", 30, seed=1), generate("ring", 40)):
+        n = topo.node_count
+        run_fast(topo, single_source_schedule(), 8)
+        run_fast(topo, random_schedule(n, seed=2, max_round=5), 8, record_trace=False)
+        initial = random_configs(n, 10, n, sync_round_budget(n, 10, 5), seed=3)
+        run_selfstab(topo, initial, 10, 5, horizon=200, record_trace=False)
+        assert set(vars(topo)) <= kept
 
 
 def test_selfstab_tables_do_not_leak_between_node_bounds():

@@ -141,6 +141,17 @@ def test_neighborhood_is_or_of_neighbor_sets(case):
     assert topo.neighborhood(nodes) == or_of_neighbor_sets(topo, nodes)
 
 
+@PROPERTY
+@given(st.data(), neighborhood_cases())
+def test_per_run_neighborhood_is_or_of_neighbor_sets(data, case):
+    topo, nodes = case
+    sets = st.integers(0, (1 << topo.node_count) - 1)
+    queries = data.draw(st.lists(st.sampled_from([nodes]) | sets, max_size=12))
+    neighborhood = topo.neighborhood_for_run()
+    for query in [nodes, *queries, nodes]:
+        assert neighborhood(query) == or_of_neighbor_sets(topo, query)
+
+
 @pytest.mark.parametrize(
     "kind, shifted",
     [("ring", True), ("line", True), ("star", False), ("clique", False),

@@ -153,6 +153,8 @@ def test_input_validation():
         run_slots(topo, None, single_source_schedule(0), 12, time_horizon=float("inf"))
     with pytest.raises(ValueError):
         run_slots(topo, None, single_source_schedule(0), 12, time_horizon=float("nan"))
+    with pytest.raises(ValueError, match="negative time horizon -1"):
+        run_slots(topo, None, single_source_schedule(0), 12, time_horizon=-1)
     with pytest.raises(ValueError):
         run_slots(topo, None, single_source_schedule(0, 100_000_000), 12)
     with pytest.raises(ValueError):

@@ -1,16 +1,19 @@
 import hashlib
 import math
 import random
+import sys
 import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from beepsync import topology
 from beepsync.topology import (
     _DRAW_CHUNK,
     KINDS,
     MAX_EDGES,
+    MAX_MEMO_ENTRIES,
     MAX_NODES,
     _diameter,
     _random_connected_edges,
@@ -292,6 +295,33 @@ def test_bitset_diameter_memory_is_two_levels_of_node_sets():
     finally:
         tracemalloc.stop()
     assert peak < 3000 * 3000 // 4 * 5 // 4
+
+
+def test_band_graphs_take_the_neighborhood_method_per_run():
+    ring = generate("ring", 40)
+    assert ring.bands
+    assert ring.neighborhood_for_run() == ring.neighborhood
+
+
+@pytest.mark.parametrize("cap", [0, 1, 3])
+def test_neighborhood_memo_stops_storing_at_its_cap(monkeypatch, cap):
+    monkeypatch.setattr(topology, "MAX_MEMO_ENTRIES", cap)
+    star = generate("star", 10)
+    assert not star.bands
+    neighborhood = star.neighborhood_for_run()
+    for nodes in (1, 2, 6, 1, 8, 2, 1):
+        assert neighborhood(nodes) == star.neighborhood(nodes)
+    memo = neighborhood.__self__
+    assert list(memo) == [1, 2, 6, 8][:cap]
+    # each run starts empty
+    assert len(star.neighborhood_for_run().__self__) == 0
+
+
+def test_full_neighborhood_memo_at_max_nodes_is_under_18_mib():
+    # a key and its value are two node sets of up to MAX_NODES bits each
+    node_set = sys.getsizeof((1 << MAX_NODES) - 1)
+    table = sys.getsizeof(dict.fromkeys(range(MAX_MEMO_ENTRIES)))
+    assert MAX_MEMO_ENTRIES * 2 * node_set + table < 18 << 20
 
 
 def test_generate_rejects_oversized_graphs():
