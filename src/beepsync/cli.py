@@ -7,9 +7,10 @@ flag can be preset through an environment variable named
 BEEPSYNC_<FLAG> (uppercased, dashes become underscores); explicit flags win.
 
 Exit codes: 0 success, 2 invalid arguments or unusable input (including a
-sweep row whose run raised), 3 invariant violations found in the produced
-trace or a closure check that failed, 4 bound breach (no convergence within
-the horizon, or convergence later than the theoretical bound).
+sweep row whose run raised on its own kind, size and seed), 3 invariant
+violations found in the produced trace or a closure check that failed, 4
+bound breach (no convergence within the horizon, or convergence later than
+the theoretical bound).
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .engine import (
     write_trace_jsonl,
 )
 from .fsm import (
-    DEFAULT_NODE_BUDGET,
     NotConstructible,
     certify_no_sync,
     classify,
@@ -109,12 +109,19 @@ def _parse_wakes(pairs: list[str] | None) -> dict[int, int] | None:
     return wakes
 
 
+def _kind(name: str) -> str:
+    """The generator kind a topology name stands for: ``random`` is
+    ``random_connected``, and a name outside ``KINDS`` is refused."""
+    kind = "random_connected" if name == "random" else name
+    if kind not in KINDS:
+        raise ValueError(f"unknown topology {name!r}")
+    return kind
+
+
 def _resolve_topology(spec: str, size: int | None, seed: int | None) -> Topology:
     if spec.startswith("file:"):
         return load_topology(spec[len("file:"):])
-    kind = "random_connected" if spec == "random" else spec
-    if kind not in KINDS:
-        raise ValueError(f"unknown topology {spec!r}")
+    kind = _kind(spec)
     if size is None:
         raise ValueError("--n is required for generated topologies")
     return generate(kind, size, seed=seed)
@@ -252,14 +259,12 @@ def _cmd_analyze_fsm(args: argparse.Namespace) -> int:
     else:
         raise ValueError("give --automaton PATH or --protocol {fast,selfstab}")
     try:
-        report = classify(automaton, args.T, node_budget=args.budget)
+        report = classify(automaton, args.T)
     except NotConstructible as exc:
         print(f"not constructible: {exc}", file=sys.stderr)
         return EXIT_USAGE
     topology, initial = report.counterexample
-    certified = certify_no_sync(
-        automaton, report.counterexample, args.T, node_budget=args.budget
-    )
+    certified = certify_no_sync(automaton, report.counterexample, args.T)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(
@@ -306,7 +311,7 @@ def _sweep_row(key: tuple) -> dict:
     mode, kind, n, period, spacing, schedule_kind, seed, horizon = key
     row = dict(zip(SWEEP_FIELDS[:7], key))
     try:
-        topology = generate("random_connected" if kind == "random" else kind, n, seed=seed)
+        topology = generate(_kind(kind), n, seed=seed)
         if mode == "selfstab":
             budget = sync_round_budget(n, period, spacing)
             initial = random_configs(n, period, n, budget, seed)
@@ -359,15 +364,31 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     ):
         if values[-1] > cap:
             raise ValueError(f"{flag} reaches {values[-1]}, over the {cap} limit")
+    if args.jobs < 1:
+        raise ValueError(f"--jobs {args.jobs} is below 1")
     if args.jobs > MAX_JOBS:
         raise ValueError(f"--jobs {args.jobs} is over the {MAX_JOBS} limit")
-    spacing = args.q if args.q is not None else (5 if args.mode == "selfstab" else 4)
     schedule_kinds = ("single", "multi") if args.schedule == "both" else (args.schedule,)
     if args.mode == "selfstab":
         schedule_kinds = (None,)
     row_count = len(kinds) * len(sizes) * len(periods) * len(schedule_kinds) * len(seeds)
     if row_count > MAX_SWEEP_ROWS:
         raise ValueError(f"sweep of {row_count} rows is over the {MAX_SWEEP_ROWS} limit")
+    # what every row shares is refused here, so a row fails only on its own
+    # (kind, n, seed)
+    spacing = args.q if args.q is not None else (5 if args.mode == "selfstab" else 4)
+    for period in periods:
+        try:
+            compute_checkpoints(period, spacing)
+        except ValueError as exc:
+            raise ValueError(f"--T-range {args.T_range} with --q {spacing}: {exc}") from None
+    if args.horizon is not None and args.horizon < 0:
+        raise ValueError(f"--horizon {args.horizon} is negative")
+    for kind in kinds:
+        try:
+            _kind(kind)
+        except ValueError as exc:
+            raise ValueError(f"--kinds {args.kinds}: {exc}") from None
     keys = [
         (args.mode, kind, n, period, spacing, schedule_kind, seed, args.horizon)
         for kind, n, period, schedule_kind, seed
@@ -457,7 +478,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fsm.add_argument("--T", type=int, required=True)
     p_fsm.add_argument("--q", type=int, default=4)
     p_fsm.add_argument("--N", type=int, default=None)
-    p_fsm.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET, help="node budget")
     p_fsm.add_argument("--out", default=None, help="counterexample output path")
     p_fsm.set_defaults(func=_cmd_analyze_fsm)
 
@@ -472,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--schedule", choices=("single", "multi", "both"), default="both")
     p_sweep.add_argument("--horizon", type=int, default=None)
     p_sweep.add_argument("--jobs", type=int, default=1,
-                         help=f"worker processes, at most {MAX_JOBS} (1 runs in-process)")
+                         help=f"worker processes, 1 to {MAX_JOBS} (1 runs in-process)")
     p_sweep.add_argument("--out", default=None, help="row CSV output path")
     p_sweep.set_defaults(func=_cmd_sweep)
     return parser

@@ -40,7 +40,15 @@ from .selfstab import (
 )
 from .topology import Topology, bit_flags, generate
 
-DEFAULT_NODE_BUDGET = 64
+# The most nodes a counterexample may have. Certification walks the global
+# configuration until it repeats and keeps every configuration on the way,
+# so n nodes in distinct states hold about n * n node sets of n bits. At
+# the cap, classify and certify_no_sync take 1.7 s at 250 MiB peak RSS on
+# the fast protocol's clique (T = 1,365), 1.9 s at 259 MiB on the
+# self-stabilizing clique of 4N + 8 nodes (T = 5, q = 5, N = 254), and
+# 0.7 s at 188 MiB on a clock-labelled pulser's star of T + 1 nodes
+# (T = 1,023), on a 2-core x86 box with Python 3.11.
+MAX_COUNTEREXAMPLE_NODES = 1 << 10
 
 
 class NotConstructible(Exception):
@@ -301,24 +309,23 @@ def _check_period(period: int) -> None:
         raise ValueError(f"period must be positive, got {period}")
 
 
-def classify(
-    automaton: ProtocolAutomaton, period: int, node_budget: int = DEFAULT_NODE_BUDGET
-) -> CycleReport:
+def classify(automaton: ProtocolAutomaton, period: int) -> CycleReport:
     """Builds a non-synchronizing graph and initial states for the automaton.
 
     Raises:
-        NotConstructible: When the construction exceeds the node budget, or
-            the star case needs clock information or period phases the
-            silence cycle does not provide.
+        NotConstructible: When the construction needs more than
+            MAX_COUNTEREXAMPLE_NODES nodes, or the star case needs clock
+            information or period phases the silence cycle does not provide.
     """
     _check_period(period)
     beep_cycle = find_beep_cycle(automaton)
     silence_cycle = find_silence_cycle(automaton)
     core = beep_cycle[:-1]
     if any(automaton.beeps[s] for s in core):
-        if len(core) > node_budget:
+        if len(core) > MAX_COUNTEREXAMPLE_NODES:
             raise NotConstructible(
-                f"clique of {len(core)} nodes exceeds budget {node_budget}"
+                f"clique of {len(core)} nodes exceeds the"
+                f" {MAX_COUNTEREXAMPLE_NODES}-node limit"
             )
         topo = generate("clique", len(core)) if len(core) > 1 else generate("line", 1)
         return CycleReport(beep_cycle, silence_cycle, Case.B, (topo, core))
@@ -327,8 +334,10 @@ def classify(
     if not _syncs(automaton, *lone, period):
         return CycleReport(beep_cycle, silence_cycle, Case.A1, lone)
 
-    if period + 1 > node_budget:
-        raise NotConstructible(f"star of {period + 1} nodes exceeds budget {node_budget}")
+    if period + 1 > MAX_COUNTEREXAMPLE_NODES:
+        raise NotConstructible(
+            f"star of {period + 1} nodes exceeds the {MAX_COUNTEREXAMPLE_NODES}-node limit"
+        )
     if automaton.clock_of is None:
         raise NotConstructible("star construction needs clock values per state")
     silence_core = silence_cycle[:-1]
@@ -390,19 +399,23 @@ def certify_no_sync(
     automaton: ProtocolAutomaton,
     counterexample: tuple[Topology, tuple[int, ...]],
     period: int,
-    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> bool:
     """True when the run from the counterexample never reaches synchronized pulsing.
 
     The run is deterministic over a finite configuration space, so its
     eventual behavior is exactly the detected cycle; synchronized pulsing
     from any round would make that cycle itself synchronized.
+
+    Raises:
+        ValueError: On a bad period, a topology of more than
+            MAX_COUNTEREXAMPLE_NODES nodes, or initial states that do not
+            fit the topology and the automaton.
     """
     _check_period(period)
     topology, initial = counterexample
-    if topology.node_count > node_budget:
+    if topology.node_count > MAX_COUNTEREXAMPLE_NODES:
         raise ValueError(
-            f"{topology.node_count} nodes exceed certification budget {node_budget}"
+            f"{topology.node_count} nodes exceed the {MAX_COUNTEREXAMPLE_NODES}-node limit"
         )
     if len(initial) != topology.node_count:
         raise ValueError(f"need {topology.node_count} initial states, got {len(initial)}")

@@ -169,10 +169,17 @@ def build(edge_list: list[tuple[int, int]], node_count: int) -> Topology:
         The Topology.
 
     Raises:
-        ValueError: On self-loops, out-of-range ids, or a disconnected graph.
+        ValueError: On self-loops, out-of-range ids, a disconnected graph, or
+            more than MAX_NODES nodes or MAX_EDGES edges (duplicates count).
     """
     if node_count < 1:
         raise ValueError(f"node_count must be >= 1, got {node_count}")
+    if len(edge_list) < node_count - 1:  # merging duplicates only lowers the count
+        raise ValueError("graph is not connected")
+    if node_count > MAX_NODES:
+        raise ValueError(f"{node_count} nodes exceed the {MAX_NODES}-node limit")
+    if len(edge_list) > MAX_EDGES:
+        raise ValueError(f"{len(edge_list)} edges are over the {MAX_EDGES} limit")
     seen: set[tuple[int, int]] = set()
     for u, v in edge_list:
         if u == v:
@@ -180,8 +187,6 @@ def build(edge_list: list[tuple[int, int]], node_count: int) -> Topology:
         if not (0 <= u < node_count and 0 <= v < node_count):
             raise ValueError(f"edge ({u}, {v}) out of range for {node_count} nodes")
         seen.add((u, v) if u < v else (v, u))
-    if len(seen) < node_count - 1:  # checked before allocating per-node lists
-        raise ValueError("graph is not connected")
     edges = tuple(sorted(seen))
     # edges are sorted pairs u < v, so node w meets its lower neighbours
     # (as v) in increasing order before its higher ones (as u): adj is sorted
@@ -197,12 +202,13 @@ def build(edge_list: list[tuple[int, int]], node_count: int) -> Topology:
 
 KINDS = ("line", "star", "clique", "ring", "random_connected")
 
-# Bounds on a generated graph, checked before its edge list is built. The
-# neighbour bitsets of n nodes take about n * n / 8 bytes, 32 MiB at
-# MAX_NODES, the diameter's bitset search peaks at n * n / 4 bytes, 64 MiB
-# at MAX_NODES, and random_connected draws 64 random bits per node pair:
-# 3.3 s at n = 10,000 and 8 s at MAX_NODES, with edge probability 2 / n,
-# on a 2-core x86 box with Python 3.11 (generate knows the other kinds'
+# Bounds on every graph, checked by build before it reads an edge and by
+# generate before it makes an edge list. The neighbour bitsets of n nodes
+# take about n * n / 8 bytes, 32 MiB at MAX_NODES, the diameter's bitset
+# search peaks at n * n / 4 bytes, 64 MiB at MAX_NODES, and
+# random_connected draws 64 random bits per node pair: 3.3 s at
+# n = 10,000 and 8 s at MAX_NODES, with edge probability 2 / n, on a
+# 2-core x86 box with Python 3.11 (generate knows the other kinds'
 # diameters; a search from every node takes 29 s on a 10,000-node ring
 # read from a file). An edge costs about 240 bytes across the edge list,
 # its set and the adjacency tuples (a 1,000-node clique peaks at 132 MiB

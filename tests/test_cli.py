@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beepsync import engine
-from beepsync.checkpoints import sync_round_budget
+from beepsync import cli, engine, fsm
+from beepsync.checkpoints import compute_checkpoints, sync_round_budget
 from beepsync.cli import (
     EXIT_BOUND,
     EXIT_OK,
@@ -30,7 +30,7 @@ from beepsync.cli import (
     run_selfstab,
 )
 from beepsync.selfstab import legitimate_configs, random_configs, save_configs
-from beepsync.topology import generate, save_topology
+from beepsync.topology import KINDS, MAX_NODES, generate, save_topology
 
 
 def run_cli(capsys, *argv):
@@ -162,6 +162,23 @@ def test_topology_file_with_too_few_edges_is_usage_error(tmp_path, capsys):
     assert "not connected" in captured.err
 
 
+def test_topology_file_over_node_limit_is_usage_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(engine, "advance", _no_round)
+    n = MAX_NODES + 1
+    path = tmp_path / "ring.txt"
+    path.write_text(
+        f"n {n}\n" + "".join(f"{v} {(v + 1) % n}\n" for v in range(n)), encoding="utf-8"
+    )
+    code, captured = run_cli(
+        capsys, "run-fast", "--topology", f"file:{path}", "--T", "7", "--wake", "0=0",
+    )
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: {n} nodes exceed the {MAX_NODES}-node limit"
+    ]
+
+
 @pytest.mark.parametrize(
     "kind, size, limit",
     [("line", "300000000", "node limit"), ("clique", "100000", "node limit"),
@@ -181,6 +198,10 @@ def _no_pool(*args, **kwargs):
     raise AssertionError("a process pool was constructed")
 
 
+def _no_graph(*args, **kwargs):
+    raise AssertionError("a counterexample graph was generated")
+
+
 @pytest.mark.parametrize(
     "argv, limit",
     [
@@ -198,18 +219,29 @@ def _no_pool(*args, **kwargs):
         (("sweep", "--kinds", "line", "--n-range", "3:3", "--T-range", "4:4",
           "--seeds", "1", "--schedule", "single", "--jobs", "100000"),
          f"--jobs 100000 is over the {MAX_JOBS} limit"),
+        (("sweep", "--kinds", "line", "--n-range", "2", "--T-range", "8",
+          "--seeds", "1", "--jobs", "0"), "--jobs 0 is below 1"),
+        (("sweep", "--kinds", "line", "--n-range", "2", "--T-range", "8",
+          "--seeds", "1", "--jobs", "-3"), "--jobs -3 is below 1"),
+        (("analyze-fsm", "--protocol", "fast", "--T", "2000"),
+         "not constructible: clique of 1500 nodes exceeds the 1024-node limit"),
     ],
     ids=["run-fast-period", "fsm-fast-period", "sweep-n-range", "sweep-T-range",
-         "fsm-selfstab-domain", "sweep-rows", "sweep-jobs"],
+         "fsm-selfstab-domain", "sweep-rows", "sweep-jobs", "sweep-jobs-zero",
+         "sweep-jobs-negative", "fsm-fast-clique"],
 )
 def test_oversized_period_range_or_automaton_is_usage_error(capsys, monkeypatch, argv, limit):
-    # a pool forks all its workers when it starts, so none may be made
+    # a pool forks all its workers when it starts, so none may be made, and
+    # a counterexample is refused before its graph is generated
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
+    monkeypatch.setattr(fsm, "generate", _no_graph)
     start = time.perf_counter()
     code, captured = run_cli(capsys, *argv)
     assert time.perf_counter() - start < 1.0
     assert code == 2
-    assert limit in captured.err
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert limit in line
 
 
 def _no_round(*args, **kwargs):
@@ -384,12 +416,27 @@ def test_analyze_fsm_fast(tmp_path, capsys):
     assert artifact["initial_states"] == [1, 2, 3]
 
 
-def test_analyze_fsm_budget_too_small(capsys):
-    code, captured = run_cli(
-        capsys, "analyze-fsm", "--protocol", "fast", "--T", "4", "--budget", "2"
-    )
+def test_analyze_fsm_budget_too_small(capsys, monkeypatch):
+    monkeypatch.setattr(fsm, "MAX_COUNTEREXAMPLE_NODES", 2)
+    code, captured = run_cli(capsys, "analyze-fsm", "--protocol", "fast", "--T", "4")
     assert code == 2
     assert "not constructible" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, nodes",
+    [(("--protocol", "selfstab", "--T", "5", "--N", "16"), 72),
+     (("--protocol", "fast", "--T", "86"), 65)],
+    ids=["selfstab-N16", "fast-T86"],
+)
+def test_analyze_fsm_builds_the_lower_bound_clique(capsys, argv, nodes):
+    # a protocol told N = 16 fails on a clique of 4N + 8 nodes
+    code, captured = run_cli(capsys, "analyze-fsm", *argv)
+    assert code == 0
+    summary = last_json(captured.out)
+    assert summary["case"] == "B"
+    assert summary["counterexample_nodes"] == nodes
+    assert summary["certified_no_sync"] is True
 
 
 def test_analyze_fsm_from_file(tmp_path, capsys):
@@ -580,21 +627,38 @@ def test_sweep_empty_grid(capsys):
         assert captured.err.splitlines() == [f"error: {flag} {value} gives an empty sweep"]
 
 
-def test_sweep_row_error_is_usage_error(capsys):
+def _no_row(key):
+    raise AssertionError("a sweep row was run")
+
+
+def test_sweep_row_error_is_usage_error(capsys, monkeypatch):
+    # a row fails on its own (kind, n, seed): a star needs two nodes
     code, captured = run_cli(
-        capsys, "sweep", "--mode", "fast", "--kinds", "line",
-        "--n-range", "2:3", "--T-range", "3", "--seeds", "1",
+        capsys, "sweep", "--mode", "fast", "--kinds", "star",
+        "--n-range", "1:2", "--T-range", "8", "--seeds", "1", "--schedule", "single",
     )
     assert code == 2
     summary = last_json(captured.out)
-    assert summary["errors"] == summary["rows"] == 4
+    assert summary["rows"] == 2
+    assert summary["errors"] == 1
     assert summary["all_ok"] is False
-    code, captured = run_cli(
-        capsys, "sweep", "--mode", "fast", "--kinds", "line",
-        "--n-range", "2:3", "--T-range", "4", "--seeds", "1", "--horizon", "-1",
-    )
-    assert code == 2
-    assert last_json(captured.out)["errors"] == 4
+    # what every row shares is refused before the first row
+    monkeypatch.setattr(cli, "_sweep_row", _no_row)
+    grid = ("sweep", "--mode", "fast", "--n-range", "2:3", "--seeds", "1")
+    for flags, message in (
+        (("--kinds", "line", "--T-range", "8", "--q", "0"),
+         "--T-range 8 with --q 0: spacing must be 4 or in [5, period]"),
+        (("--kinds", "line", "--T-range", "4", "--horizon", "-5"), "--horizon -5 is negative"),
+        (("--kinds", "line", "--T-range", "3:4"),
+         "--T-range 3:4 with --q 4: period must be >= 4, got 3"),
+        (("--kinds", "line,moebius", "--T-range", "4"),
+         "--kinds line,moebius: unknown topology 'moebius'"),
+    ):
+        code, captured = run_cli(capsys, *grid, *flags)
+        assert code == 2
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"error: {message}")
 
 
 def test_sweep_selfstab_mode(capsys):
@@ -679,6 +743,13 @@ def _reference_sweep(args) -> int:
     seeds = range(args.seeds)
     if not (kinds and sizes and periods and seeds):
         raise ValueError("empty sweep")
+    # the flags every row shares are refused before any row, as the sweep does
+    for period in periods:
+        compute_checkpoints(period, args.q)
+    if args.horizon is not None and args.horizon < 0:
+        raise ValueError("negative horizon")
+    if any(kind not in KINDS and kind != "random" for kind in kinds):
+        raise ValueError("unknown topology")
     keys = []
     if args.mode == "fast":
         schedule_kinds = (

@@ -4,6 +4,7 @@ import pytest
 
 from beepsync.checkpoints import compute_checkpoints, sync_round_budget
 from beepsync.engine import run_selfstab
+from beepsync import fsm
 from beepsync.fsm import (
     MAX_STAB_CONFIGS,
     Case,
@@ -166,16 +167,21 @@ def test_counterexample_size_within_stated_bound():
         assert report.counterexample[0].node_count <= limit
 
 
-def test_classify_respects_node_budget():
+def test_classify_respects_node_budget(monkeypatch):
     auto = ProtocolAutomaton(
         beep_next=(1, 2, 3, 4, 0),
         silence_next=(1, 2, 3, 4, 0),
         beeps=(True, False, False, False, False),
     )
-    with pytest.raises(NotConstructible):
-        classify(auto, 5, node_budget=3)
-    with pytest.raises(NotConstructible):
-        classify(conforming_pulser(6), 6, node_budget=4)
+    monkeypatch.setattr(fsm, "MAX_COUNTEREXAMPLE_NODES", 3)
+    with pytest.raises(NotConstructible, match="clique of 5 nodes exceeds the 3-node limit"):
+        classify(auto, 5)
+    monkeypatch.setattr(fsm, "MAX_COUNTEREXAMPLE_NODES", 4)
+    with pytest.raises(NotConstructible, match="star of 7 nodes exceeds the 4-node limit"):
+        classify(conforming_pulser(6), 6)
+    # the cap itself is admitted
+    monkeypatch.setattr(fsm, "MAX_COUNTEREXAMPLE_NODES", 5)
+    assert classify(auto, 5).counterexample[0].node_count == 5
 
 
 def test_star_case_needs_clock_labels():
@@ -208,14 +214,15 @@ def test_certify_sees_through_synchronized_start():
     assert not certify_no_sync(auto, pair, 6)
 
 
-def test_certify_validates_inputs():
+def test_certify_validates_inputs(monkeypatch):
     auto = swap_automaton()
     with pytest.raises(ValueError):
         certify_no_sync(auto, (generate("clique", 3), (0, 1)), 4)
     with pytest.raises(ValueError):
         certify_no_sync(auto, (generate("clique", 2), (0, 5)), 4)
-    with pytest.raises(ValueError):
-        certify_no_sync(auto, (generate("clique", 5), (0,) * 5), 4, node_budget=3)
+    monkeypatch.setattr(fsm, "MAX_COUNTEREXAMPLE_NODES", 3)
+    with pytest.raises(ValueError, match="5 nodes exceed the 3-node limit"):
+        certify_no_sync(auto, (generate("clique", 5), (0,) * 5), 4)
 
 
 def test_lower_bound_demo_needs_a_beeping_silence_cycle():
@@ -253,14 +260,18 @@ def test_selfstab_extraction_refuses_a_domain_over_the_cap():
         extract_selfstab_automaton(16, 4, 328)
 
 
-def test_extracted_selfstab_automaton_yields_counterexample():
-    # node_bound 2 undercounts the 16-node clique, so the usual convergence
-    # guarantee does not apply and the construction genuinely never syncs
-    auto = extract_selfstab_automaton(5, 5, 2)
-    report = classify(auto, 5)
+@pytest.mark.parametrize("node_bound", [2, 4, 8, 16])
+@pytest.mark.parametrize("period", [5, 8, 12, 16])
+def test_extracted_selfstab_automaton_yields_counterexample(period, node_bound):
+    # the paper's lower bound: a protocol told node bound N fails on a clique
+    # of 4N + 8 nodes, more than N, so the usual convergence guarantee does
+    # not apply and the construction genuinely never syncs
+    auto = extract_selfstab_automaton(period, 5, node_bound)
+    report = classify(auto, period)
     assert report.case is Case.B
-    assert report.counterexample[0].node_count == 16
-    assert certify_no_sync(auto, report.counterexample, 5)
+    nodes = report.counterexample[0].node_count
+    assert nodes == 4 * node_bound + 8 > node_bound
+    assert certify_no_sync(auto, report.counterexample, period)
 
 
 def test_fast_automaton_tracks_clocks():

@@ -336,6 +336,16 @@ def test_generate_rejects_oversized_graphs():
         generate("random_connected", 2000, seed=0, extra_edge_probability=0.6)
 
 
+def test_build_and_parse_refuse_oversized_graphs():
+    n = MAX_NODES + 1
+    ring = f"n {n}\n" + "".join(f"{v} {(v + 1) % n}\n" for v in range(n))
+    with pytest.raises(ValueError, match=f"{n} nodes exceed the {MAX_NODES}-node limit"):
+        parse_topology(ring)
+    # duplicates count: the edge list is refused before it is read
+    with pytest.raises(ValueError, match=f"{MAX_EDGES + 1} edges are over the {MAX_EDGES} limit"):
+        build([(0, 1)] * (MAX_EDGES + 1), 2)
+
+
 def test_format_parse_round_trip():
     topo = generate("random_connected", 8, seed=11)
     again = parse_topology(format_topology(topo))
