@@ -64,6 +64,10 @@ class CheckpointSet:
         """True when the clock sits one step past some checkpoint (mod period)."""
         return (clock - 1) % self.period in self._member_set
 
+    def may_beep(self, clock: int) -> bool:
+        """True when a beep may sound at the clock: on or one step past a checkpoint."""
+        return clock in self._member_set or self.is_post_checkpoint(clock)
+
 
 def compute_checkpoints(period: int, spacing: int = 4) -> CheckpointSet:
     """Builds the checkpoint set: multiples of ``spacing`` c with period - c > spacing - 1.

@@ -161,10 +161,10 @@ TRACE_FIELDS = (
 class FastTrace:
     """Normalized per-round snapshots of a fast-protocol run.
 
-    Index [t][v] gives node v at the beginning of normalized round t.
-    ``induce_event[t][v]`` means v took the induced jump during round t (its
-    induced beep happens in round t+1); it has one entry fewer than the
-    snapshot arrays.
+    Index [t][v] gives node v at the beginning of normalized round t. Node v
+    beeps in round t exactly when ``states[t][v]`` is ``NodeState.BEEP``, and
+    takes the induced jump during round t (its induced beep happens in round
+    t+1) exactly when its counter steps by 2 from round t to round t+1.
     """
 
     topology: Topology
@@ -174,9 +174,7 @@ class FastTrace:
     clocks: list[list[int]]
     states: list[list[NodeState]]
     induced: list[list[bool]]
-    beeped: list[list[bool]]
     counters: list[list[int | None]]
-    induce_event: list[list[bool]]
 
     def round_count(self) -> int:
         return len(self.clocks)
@@ -210,8 +208,8 @@ class StabTrace:
         )
 
 
-# The most node-round cells a trace may hold, at about 95 bytes a cell with
-# its checks: ring-1000 run-fast at T=8 holds 4.0M cells in a 368 MiB peak.
+# The most node-round cells a trace may hold, at about 86 bytes a cell with
+# its checks: ring-1000 run-fast at T=8 holds 4.0M cells in a 330 MiB peak.
 MAX_TRACE_CELLS = 1 << 22
 
 
@@ -291,8 +289,7 @@ def run_fast(
     jumps = [0] * n
     trace = FastTrace(
         topology=topology, period=period, spacing=spacing,
-        activation_round=activation_round, clocks=[], states=[], induced=[],
-        beeped=[], counters=[], induce_event=[],
+        activation_round=activation_round, clocks=[], states=[], induced=[], counters=[],
     )
     nodes = range(n)
     pending = (1 << n) - 1
@@ -303,17 +300,14 @@ def run_fast(
         prev = masks
         masks, heard = advance(table, masks, neighborhood, woken.get(t, 0))
         if record_trace:
-            if t:
-                jumped = 0
-                for s, m in prev.items():
-                    if induces[s]:
-                        jumped |= m & heard
-                events = [False] * n
-                if jumped:
-                    for v in compress(nodes, bit_flags(jumped)):
-                        events[v] = True
-                        jumps[v] += 1
-                trace.induce_event.append(events)
+            # round 0's previous masks hold only the inactive id, which induces nothing
+            jumped = 0
+            for s, m in prev.items():
+                if induces[s]:
+                    jumped |= m & heard
+            if jumped:
+                for v in compress(nodes, bit_flags(jumped)):
+                    jumps[v] += 1
             activated = pending & ~masks.get(0, 0)
             if activated:
                 for v in compress(nodes, bit_flags(activated)):
@@ -323,7 +317,6 @@ def run_fast(
             trace.clocks.append([clock_of[s] for s in ids])
             trace.states.append([state_of[s] for s in ids])
             trace.induced.append([induced_of[s] for s in ids])
-            trace.beeped.append([beeps[s] for s in ids])
             trace.counters.append(
                 [None if a is None else t - a + j for a, j in zip(activation_round, jumps)]
             )
@@ -380,7 +373,7 @@ def check_closure(trace: FastTrace, sync_round: int, period: int, window: int) -
         if None in trace.counters[t] or clocks.count(first) != n:
             return False
         # all clocks are equal now, so every node must beep iff it is at 0
-        if t > sync_round and trace.beeped[t].count(first == 0) != n:
+        if t > sync_round and trace.states[t].count(NodeState.BEEP) != (n if first == 0 else 0):
             last_bad = t
     return last_bad is None or last_bad <= sync_round + period + 1
 
@@ -412,7 +405,7 @@ def check_invariants(trace: FastTrace, checkpoints: CheckpointSet) -> list[Viola
     # node v is active from round start[v] on; every node from round everyone
     start = [rounds if a is None else a for a in act]
     everyone = max(start, default=0)
-    beat = _Memo(lambda clock: clock in checkpoints or checkpoints.is_post_checkpoint(clock))
+    beat = _Memo(checkpoints.may_beep)
     beep = NodeState.BEEP
 
     on_rows: list[Violation] = []  # C1 and C3
@@ -445,37 +438,32 @@ def check_invariants(trace: FastTrace, checkpoints: CheckpointSet) -> list[Viola
                 )
 
     # C2 on each column's counter steps; a step other than 1 is also the only
-    # place where the gap between two neighbours' counters can change (C5)
+    # place where the gap between two neighbours' counters can change (C5),
+    # and a step of 2 is an induced jump (C4)
     columns = list(zip(*counter_rows)) if rounds else [()] * n
     bad_steps: list[tuple[int, int, int]] = []
+    jumps: list[tuple[int, int]] = []
     moved: list[list[int]] = []
     for v, column in enumerate(columns):
         s = start[v]
         odd = list(compress(count(s), map((1).__ne__, map(sub, column[s + 1:], column[s:]))))
         for t in odd:
             step = column[t + 1] - column[t]
-            if step != 2:
+            if step == 2:
+                jumps.append((t, v))
+            else:
                 bad_steps.append((t, v, step))
         moved.append([t + 1 for t in odd])
     bad_steps.sort()
     steps = [Violation("C2", t, v, f"counter advanced by {d}") for t, v, d in bad_steps]
 
-    induced: list[Violation] = []
-    for t, events in enumerate(trace.induce_event):
-        if not any(events):
-            continue
-        beeped = trace.beeped[t]
-        counters = counter_rows[t]
-        for v in compress(nodes, events):
-            for w in neighbors[v]:
-                if beeped[w] and start[w] <= t:
-                    if counters[v] in (counters[w], counters[w] + 1):
-                        induced.append(
-                            Violation(
-                                "C4", t, v,
-                                f"induced by node {w} at counters {counters[v]}/{counters[w]}",
-                            )
-                        )
+    induced = [
+        Violation("C4", t, v, f"induced by node {w} at counters {columns[v][t]}/{columns[w][t]}")
+        for t, v in sorted(jumps)
+        for w in neighbors[v]
+        if trace.states[t][w] is beep and start[w] <= t
+        and columns[v][t] - columns[w][t] in (0, 1)
+    ]
 
     # C5: a gap above 1 that follows a gap of at most 1 and is still open the
     # next round. It can open only in a round where one endpoint's counter did
@@ -822,12 +810,13 @@ def _export_rounds(
     cps = compute_checkpoints(trace.period, trace.spacing)
 
     def fields(key: tuple) -> tuple:
-        clock, state, induced, beeped, just_activated = key
+        clock, state, induced, just_activated = key
+        beeping = state == NodeState.BEEP.value
         beep_class = None
-        if beeped:
+        if beeping:
             config = FastNodeConfig(clock, NodeState(state), induced)
             beep_class = classify_beep(config, cps, just_activated=just_activated).value
-        return clock, state, induced, None, None, beeped, beep_class
+        return clock, state, induced, None, None, beeping, beep_class
 
     fast = _Memo(lambda key: render(fields(key)))
     quiet = [False] * trace.topology.node_count
@@ -837,8 +826,7 @@ def _export_rounds(
             joined.setdefault(t, quiet.copy())[v] = True
     for t in rounds:
         keys = zip(
-            trace.clocks[t], map(_value, trace.states[t]), trace.induced[t], trace.beeped[t],
-            joined.get(t, quiet),
+            trace.clocks[t], map(_value, trace.states[t]), trace.induced[t], joined.get(t, quiet),
         )
         yield t, map(fast.__getitem__, keys), trace.counters[t]
 

@@ -315,7 +315,7 @@ def classify(automaton: ProtocolAutomaton, period: int) -> CycleReport:
     Raises:
         NotConstructible: When the construction needs more than
             MAX_COUNTEREXAMPLE_NODES nodes, or the star case needs clock
-            information or period phases the silence cycle does not provide.
+            information or a clock-0 beep the silence cycle does not provide.
     """
     _check_period(period)
     beep_cycle = find_beep_cycle(automaton)
@@ -340,11 +340,9 @@ def classify(automaton: ProtocolAutomaton, period: int) -> CycleReport:
         )
     if automaton.clock_of is None:
         raise NotConstructible("star construction needs clock values per state")
+    # the lone run just found synchronized is the silence cycle, so the
+    # cycle's length is a positive multiple of period: the leaves cover every phase
     silence_core = silence_cycle[:-1]
-    if len(silence_core) < period:
-        raise NotConstructible(
-            f"silence cycle of length {len(silence_core)} cannot cover {period} phases"
-        )
     clocks = automaton.clock_of
     anchors = [i for i, s in enumerate(silence_core) if automaton.beeps[s] and clocks[s] == 0]
     if not anchors:

@@ -88,7 +88,7 @@ def consistency_check(config: StabNodeConfig, checkpoints: CheckpointSet) -> Sta
     """
     state = config.state
     if state is StabState.BEEP:
-        ok = config.clock in checkpoints or checkpoints.is_post_checkpoint(config.clock)
+        ok = checkpoints.may_beep(config.clock)
     elif state is StabState.LISTEN:
         ok = config.clock > 0
     else:

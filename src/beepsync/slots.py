@@ -40,7 +40,8 @@ MAX_SLOTS = 1 << 20
 
 @dataclass(frozen=True, slots=True)
 class SlotRecord:
-    """One completed slot of one node."""
+    """One completed slot of one node; the node beeped in it when ``state`` is
+    ``NodeState.BEEP``."""
 
     node: int
     slot_index: int
@@ -49,7 +50,6 @@ class SlotRecord:
     clock: int
     state: NodeState
     induced: bool
-    beeped: bool
     heard: bool
 
 
@@ -130,7 +130,6 @@ def run_slots(
                 clock=cfg.clock,
                 state=cfg.state,
                 induced=cfg.induced,
-                beeped=beeps[s],
                 heard=heard[v],
             )
         )
@@ -204,6 +203,7 @@ def write_slot_csv(records: list[SlotRecord], path: str) -> None:
         writer = csv.writer(fh)
         writer.writerow(SLOT_FIELDS)
         for rec in records:
-            writer.writerow(
-                [rec.node, rec.slot_index, rec.start_time, rec.end_time, rec.beeped, rec.clock]
-            )
+            writer.writerow([
+                rec.node, rec.slot_index, rec.start_time, rec.end_time,
+                rec.state is NodeState.BEEP, rec.clock,
+            ])

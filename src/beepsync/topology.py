@@ -202,17 +202,17 @@ def build(edge_list: list[tuple[int, int]], node_count: int) -> Topology:
 
 KINDS = ("line", "star", "clique", "ring", "random_connected")
 
-# Bounds on every graph, checked by build before it reads an edge and by
-# generate before it makes an edge list. The neighbour bitsets of n nodes
-# take about n * n / 8 bytes, 32 MiB at MAX_NODES, the diameter's bitset
-# search peaks at n * n / 4 bytes, 64 MiB at MAX_NODES, and
-# random_connected draws 64 random bits per node pair: 3.3 s at
-# n = 10,000 and 8 s at MAX_NODES, with edge probability 2 / n, on a
-# 2-core x86 box with Python 3.11 (generate knows the other kinds'
-# diameters; a search from every node takes 29 s on a 10,000-node ring
-# read from a file). An edge costs about 240 bytes across the edge list,
-# its set and the adjacency tuples (a 1,000-node clique peaks at 132 MiB
-# RSS there), so MAX_EDGES edges take about 250 MiB.
+# Bounds on every graph, checked by build before it reads an edge, by generate
+# before it makes an edge list and by parse_topology as it reads a file. The
+# neighbour bitsets of n nodes take about n * n / 8 bytes, 32 MiB at
+# MAX_NODES, the diameter's bitset search peaks at n * n / 4 bytes, 64 MiB at
+# MAX_NODES, and random_connected draws 64 random bits per node pair: 3.3 s at
+# n = 10,000 and 8 s at MAX_NODES, with edge probability 2 / n, on a 2-core
+# x86 box with Python 3.11 (generate knows the other kinds' diameters; a
+# search from every node takes 29 s on a 10,000-node ring read from a file).
+# An edge costs about 240 bytes across the edge list, its set and the
+# adjacency tuples (a 1,000-node clique peaks at 132 MiB RSS there), so
+# MAX_EDGES edges take about 250 MiB.
 MAX_NODES = 1 << 14
 MAX_EDGES = 1 << 20
 
@@ -363,21 +363,30 @@ def format_topology(topology: Topology) -> str:
 def parse_topology(text: str) -> Topology:
     """Parses the edge-list text format produced by :func:`format_topology`.
 
+    Lines are read one at a time, as ``str.splitlines`` splits them, so a
+    header count over ``MAX_NODES`` is refused before any edge line is read,
+    and a file is refused at its ``MAX_EDGES + 1``-th edge line.
+
     Raises:
-        ValueError: On malformed header or edge lines, or an invalid graph.
+        ValueError: On malformed header or edge lines, or an invalid or oversized graph.
     """
-    lines = [
-        ln for ln in (raw.strip() for raw in text.splitlines())
-        if ln and not ln.startswith("#")
-    ]
-    if not lines:
+    import re  # json has loaded it already; only file parsing needs it here
+    # the runs between str.splitlines' line boundaries
+    runs = re.finditer(r"[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]+", text)
+    lines = (ln for ln in (m.group().strip() for m in runs) if ln and not ln.startswith("#"))
+    first = next(lines, None)
+    if first is None:
         raise ValueError("empty topology file")
-    header = lines[0].split()
+    header = first.split()
     if len(header) != 2 or header[0] != "n":
-        raise ValueError(f"bad header {lines[0]!r}, expected 'n <count>'")
+        raise ValueError(f"bad header {first!r}, expected 'n <count>'")
     node_count = int(header[1])
+    if node_count > MAX_NODES:
+        raise ValueError(f"{node_count} nodes exceed the {MAX_NODES}-node limit")
     edges: list[tuple[int, int]] = []
-    for ln in lines[1:]:
+    for ln in lines:
+        if len(edges) == MAX_EDGES:
+            raise ValueError(f"more than {MAX_EDGES} edge lines, over the {MAX_EDGES} limit")
         parts = ln.split()
         if len(parts) != 2:
             raise ValueError(f"bad edge line {ln!r}")

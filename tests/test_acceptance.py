@@ -22,7 +22,7 @@ from beepsync.engine import (
     run_fast,
     run_selfstab,
 )
-from beepsync.fast_protocol import config_bit_width, encode_config
+from beepsync.fast_protocol import NodeState, config_bit_width, encode_config
 from beepsync.fsm import (
     certify_no_sync,
     classify,
@@ -365,7 +365,9 @@ def test_criterion_09_slot_model():
         for boundary in (rec.start_time, rec.end_time)
         if boundary >= 9.0 - tol
     )
-    late_beeps = [r for r in records if r.beeped and r.start_time >= 10.0 - tol]
+    late_beeps = [
+        r for r in records if r.state is NodeState.BEEP and r.start_time >= 10.0 - tol
+    ]
     zero_ok = bool(late_beeps) and all(r.clock == 0 for r in late_beeps)
 
     topo2 = generate("line", 4)
@@ -383,7 +385,7 @@ def test_criterion_09_slot_model():
             continue
         if rec.clock != trace.clocks[t][rec.node]:
             exact = False
-        if rec.beeped != trace.beeped[t][rec.node]:
+        if rec.state != trace.states[t][rec.node]:
             exact = False
     ok = sync_ok and aligned and zero_ok and exact
     report(

@@ -67,12 +67,17 @@ def test_parameter_validation():
         fast_runtime_bound(0, MAX_PERIOD + 1, 4)
     with pytest.raises(ValueError, match="limit"):
         sync_round_budget(2, MAX_PERIOD + 1, 4)
+    with pytest.raises(ValueError, match="diameter must be >= 0, got -1"):
+        fast_runtime_bound(-1, 8, 4)
+    with pytest.raises(ValueError, match="node_count must be >= 1, got 0"):
+        sync_round_budget(0, 8, 4)
 
 
 def test_pre_and_post_checkpoint_flags():
     cps = compute_checkpoints(12, 4)
     assert [c for c in range(12) if cps.is_pre_checkpoint(c)] == [3, 7, 11]
     assert [c for c in range(12) if cps.is_post_checkpoint(c)] == [1, 5, 9]
+    assert [c for c in range(12) if cps.may_beep(c)] == [0, 1, 4, 5, 8, 9]
 
 
 def test_fast_runtime_bound_frozen():

@@ -29,6 +29,7 @@ from beepsync.cli import (
     run_fast,
     run_selfstab,
 )
+from beepsync.engine import ActivationSchedule, write_trace_csv, write_trace_jsonl
 from beepsync.selfstab import legitimate_configs, random_configs, save_configs
 from beepsync.topology import KINDS, MAX_NODES, generate, save_topology
 
@@ -79,6 +80,36 @@ def test_run_fast_trace_out(tmp_path, capsys):
     assert code == 0
     header = out.read_text().splitlines()[0]
     assert header.startswith("round,node,")
+
+
+def _fast_line_trace():
+    return run_fast(generate("line", 4), ActivationSchedule({0: 0}), 7)[1]
+
+
+def _selfstab_clique_trace():
+    initial = random_configs(3, 10, 3, sync_round_budget(3, 10, 5), 1)
+    return run_selfstab(generate("clique", 3), initial, 10, spacing=5)[1]
+
+
+FAST_LINE = ("run-fast", "--topology", "line", "--n", "4", "--T", "7", "--wake", "0=0")
+SELFSTAB_CLIQUE = ("run-selfstab", "--topology", "clique", "--n", "3", "--T", "10", "--seed", "1")
+
+
+@pytest.mark.parametrize(
+    "argv, library_trace, write",
+    [
+        ((*FAST_LINE, "--format", "jsonl"), _fast_line_trace, write_trace_jsonl),
+        (SELFSTAB_CLIQUE, _selfstab_clique_trace, write_trace_csv),
+        ((*SELFSTAB_CLIQUE, "--format", "jsonl"), _selfstab_clique_trace, write_trace_jsonl),
+    ],
+    ids=["run-fast-jsonl", "run-selfstab-csv", "run-selfstab-jsonl"],
+)
+def test_trace_out_is_the_library_export(tmp_path, capsys, argv, library_trace, write):
+    out, expected = tmp_path / "cli.out", tmp_path / "library.out"
+    code, _ = run_cli(capsys, *argv, "--out", str(out))
+    assert code == EXIT_OK
+    write(library_trace(), str(expected))
+    assert out.read_bytes() == expected.read_bytes()
 
 
 def test_run_fast_failed_closure_exits_three(monkeypatch, capsys):
@@ -135,6 +166,12 @@ def test_unknown_topology_is_usage_error(capsys):
     assert "unknown topology" in captured.err
 
 
+def test_generated_topology_needs_n(capsys):
+    code, captured = run_cli(capsys, "run-fast", "--topology", "ring", "--T", "7", "--wake", "0=0")
+    assert code == 2
+    assert "--n is required for generated topologies" in captured.err
+
+
 def test_missing_required_flag_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run-fast", "--topology", "line", "--n", "4", "--wake", "0=0"])
@@ -154,7 +191,7 @@ def test_topology_from_file(tmp_path, capsys):
 
 def test_topology_file_with_too_few_edges_is_usage_error(tmp_path, capsys):
     path = tmp_path / "topo.txt"
-    path.write_text("n 300000000\n", encoding="utf-8")
+    path.write_text(f"n {MAX_NODES}\n", encoding="utf-8")
     code, captured = run_cli(
         capsys, "run-fast", "--topology", f"file:{path}", "--T", "7", "--wake", "0=0",
     )
@@ -339,6 +376,7 @@ def test_run_slots_records_csv(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "node,slot_index,start_time,end_time,beeped,clock"
     assert len(lines) - 1 == last_json(captured.out)["records"]
+    assert {row[4] for row in csv.reader(lines[1:])} == {"True", "False"}
 
 
 def test_run_slots_requires_wake(capsys):

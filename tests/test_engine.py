@@ -44,6 +44,7 @@ from beepsync.fast_protocol import (
     NodeState,
     classify_beep,
     step,
+    will_beep,
 )
 from beepsync.fsm import certify_no_sync, classify, extract_fast_automaton
 from beepsync.topology import KINDS, Topology, build, generate
@@ -94,7 +95,6 @@ def test_round_normalization_shift_invariant():
     late, trace5 = run_fast(topo, single_source_schedule(0, 5), 7, horizon=30)
     assert base.sync_round == late.sync_round == 21
     assert trace0.clocks == trace5.clocks
-    assert trace0.beeped == trace5.beeped
     assert trace0.states == trace5.states
 
 
@@ -153,6 +153,8 @@ def test_closure_rejects_short_window():
     result, trace = run_fast(generate("line", 4), single_source_schedule(0), 7, horizon=60)
     with pytest.raises(ValueError):
         check_closure(trace, result.sync_round, 7, window=13)
+    with pytest.raises(ValueError, match="trace has 61 rounds, window needs 62"):
+        check_closure(trace, 47, 7, window=14)
 
 
 def test_closure_fails_on_corruption():
@@ -164,7 +166,7 @@ def test_closure_fails_on_corruption():
     noisy = copy.deepcopy(trace)
     t = s + 10
     assert noisy.clocks[t][2] != 0
-    noisy.beeped[t][2] = True
+    noisy.states[t][2] = NodeState.BEEP
     assert not check_closure(noisy, s, 7, window=14)
 
 
@@ -203,6 +205,10 @@ def test_selfstab_rejects_out_of_domain_initial():
     bad = [StabNodeConfig(9, StabState.LISTEN, False, 0, 0) for _ in range(3)]
     with pytest.raises(ValueError):
         run_selfstab(topo, bad, 8, spacing=5)
+    with pytest.raises(ValueError, match="node_bound 2 below node count 3"):
+        run_selfstab(topo, legitimate_configs(3, 8), 8, spacing=5, node_bound=2)
+    with pytest.raises(ValueError, match="need 3 initial configs, got 2"):
+        run_selfstab(topo, legitimate_configs(2, 8), 8, spacing=5)
 
 
 def test_windowed_selfstab_trace_is_capped(monkeypatch):
@@ -341,7 +347,13 @@ def test_fast_trace_rows_expose_counters(tmp_path):
 
 
 def _reference_run_fast(topology, schedule, period, spacing=4, horizon=None, record_trace=True):
-    """The per-node engine: every node steps through ``fast_protocol.step`` each round."""
+    """The per-node engine: every node steps through ``fast_protocol.step`` each round.
+
+    Returns (result, trace, beeped, events): ``beeped[t][v]`` says node v
+    beeps in round t, and ``events[t][v]`` that listener v hears a beep in
+    round t and steps to the beep state, the induced jump; both are left
+    empty when ``record_trace`` is off.
+    """
     n = topology.node_count
     for node in schedule.wake_round:
         if not 0 <= node < n:
@@ -396,7 +408,7 @@ def _reference_run_fast(topology, schedule, period, spacing=4, horizon=None, rec
             clocks_rows.append([c.clock for c in configs])
             states_rows.append([c.state for c in configs])
             induced_rows.append([c.induced for c in configs])
-            beeped_rows.append([c.state is NodeState.BEEP for c in configs])
+            beeped_rows.append([will_beep(c) for c in configs])
             counter_rows.append(counters.copy())
         if sync_round is None and all(r is not None for r in activation_round):
             first_clock = configs[0].clock
@@ -413,9 +425,7 @@ def _reference_run_fast(topology, schedule, period, spacing=4, horizon=None, rec
             clocks=clocks_rows,
             states=states_rows,
             induced=induced_rows,
-            beeped=beeped_rows,
             counters=counter_rows,
-            induce_event=event_rows,
         )
     result = SimResult(
         sync_round=sync_round, bound=bound, horizon=horizon, rounds_run=horizon
@@ -424,7 +434,7 @@ def _reference_run_fast(topology, schedule, period, spacing=4, horizon=None, rec
         window = min(4 * period, horizon - sync_round)
         if window >= 2 * period:
             result.closure_verified = check_closure(trace, sync_round, period, window)
-    return result, trace
+    return result, trace, beeped_rows, event_rows
 
 
 @st.composite
@@ -448,17 +458,24 @@ DIFFERENTIAL = settings(derandomize=True, deadline=None, max_examples=200)
 @given(fast_runs())
 def test_traced_run_matches_per_node_reference(run):
     result, trace = run_fast(*run)
-    expected, expected_trace = _reference_run_fast(*run)
+    expected, expected_trace, beeped, events = _reference_run_fast(*run)
     assert result == expected
     for f in fields(FastTrace):
         assert getattr(trace, f.name) == getattr(expected_trace, f.name), f.name
+    # a trace keeps a beep as the beep state, an induced jump as a counter step of 2
+    assert beeped == [[s is NodeState.BEEP for s in row] for row in trace.states]
+    counters = trace.counters
+    assert events == [
+        [c is not None and d - c == 2 for c, d in zip(now, after)]
+        for now, after in zip(counters, counters[1:])
+    ]
 
 
 @DIFFERENTIAL
 @given(fast_runs())
 def test_untraced_run_matches_per_node_reference(run):
     result, trace = run_fast(*run, record_trace=False)
-    expected, _ = _reference_run_fast(*run, record_trace=False)
+    expected, *_ = _reference_run_fast(*run, record_trace=False)
     assert trace is None
     # an untraced run stops in the round it finds sync_round
     if expected.sync_round is not None:
@@ -481,7 +498,7 @@ def test_fast_runs_match_per_node_reference_with_capped_memo(cap, run):
 def test_untraced_run_stops_at_its_sync_round(run):
     """Rings and lines of 33 to 40 nodes take their neighbourhoods by shifts."""
     traced, _ = run_fast(*run)
-    expected, _ = _reference_run_fast(*run)
+    expected, *_ = _reference_run_fast(*run)
     assert traced == expected
     result, _ = run_fast(*run, record_trace=False)
     kept = ("sync_round", "bound", "horizon")
@@ -786,12 +803,14 @@ def test_selfstab_matches_reference_on_ring_100(node_bound):
 
 
 def _reference_fast_rows(trace):
-    """The old ``FastTrace.rows``: one dict per (round, node)."""
+    """The old ``FastTrace.rows``: one dict per (round, node), a beep read
+    from the beep state."""
     cps = compute_checkpoints(trace.period, trace.spacing)
     for t in range(trace.round_count()):
         for v in range(trace.topology.node_count):
+            beeped = trace.states[t][v] is NodeState.BEEP
             beep_class = None
-            if trace.beeped[t][v]:
+            if beeped:
                 config = FastNodeConfig(trace.clocks[t][v], trace.states[t][v], trace.induced[t][v])
                 beep_class = classify_beep(
                     config, cps, just_activated=trace.activation_round[v] == t
@@ -804,7 +823,7 @@ def _reference_fast_rows(trace):
                 "induced": trace.induced[t][v],
                 "r": None,
                 "b": None,
-                "beeped": trace.beeped[t][v],
+                "beeped": beeped,
                 "beep_class": beep_class,
                 "virtual_counter": trace.counters[t][v],
             }
@@ -851,7 +870,7 @@ def _reference_write_trace_jsonl(trace, path):
 
 
 def _reference_check_closure(trace, sync_round, period, window):
-    """The old per-node closure check."""
+    """The old per-node closure check, a beep read from the beep state."""
     if window < 2 * period:
         raise ValueError(f"window {window} shorter than {2 * period}")
     last = sync_round + window
@@ -867,15 +886,16 @@ def _reference_check_closure(trace, sync_round, period, window):
             if act[v] is None or act[v] > t or clocks[v] != first:
                 return False
         if t > sync_round:
-            beeped = trace.beeped[t]
+            states = trace.states[t]
             for v in range(n):
-                if beeped[v] != (clocks[v] == 0):
+                if (states[v] is NodeState.BEEP) != (clocks[v] == 0):
                     last_bad = t
     return last_bad is None or last_bad <= sync_round + period + 1
 
 
 def _reference_check_invariants(trace, checkpoints):
-    """The old per-cell C1-C7 scan, with the ``active(v, t)`` closure."""
+    """The old per-cell C1-C7 scan, with the ``active(v, t)`` closure; a beep
+    is read from the beep state and an induced jump from a counter step of 2."""
     violations: list[Violation] = []
     period = checkpoints.period
     n = trace.topology.node_count
@@ -913,14 +933,15 @@ def _reference_check_invariants(trace, checkpoints):
                 if advance not in (1, 2):
                     violations.append(Violation("C2", t, v, f"counter advanced by {advance}"))
 
-    for t, events in enumerate(trace.induce_event):
-        beeped = trace.beeped[t]
+    for t in range(rounds - 1):
+        states = trace.states[t]
         counters = trace.counters[t]
+        after = trace.counters[t + 1]
         for v in range(n):
-            if not events[v]:
+            if not (active(v, t) and after[v] - counters[v] == 2):
                 continue
             for w in neighbors[v]:
-                if beeped[w] and active(w, t):
+                if states[w] is NodeState.BEEP and active(w, t):
                     if counters[v] in (counters[w], counters[w] + 1):
                         violations.append(
                             Violation(
@@ -1105,9 +1126,7 @@ def test_fast_checkers_and_export_match_reference(export_dir, run, data):
         "clocks": lambda c: st.integers(0, period - 1),
         "states": lambda s: st.sampled_from(NodeState),
         "induced": lambda b: st.booleans(),
-        "beeped": lambda b: st.booleans(),
         "counters": lambda c: _near(c, top),
-        "induce_event": lambda b: st.booleans(),
     })
     if data.draw(st.booleans()):
         # shift one node's counters from some round on, which opens gaps (C5)
@@ -1189,23 +1208,26 @@ def _set_counter(trace, t, v, counter):
 def test_injected_c3_beep_off_checkpoint(line_trace):
     assert line_trace.clocks[24][1] == 4
     line_trace.states[24][1] = NodeState.BEEP
-    line_trace.beeped[24][1] = True
     cps = compute_checkpoints(7, 4)
     _flagged("C3", check_invariants, _reference_check_invariants, line_trace, cps)
 
 
 def test_injected_c4_induced_by_counter_neighbor(line_trace):
-    # node 2 beeps at counter 7 while listening node 1 sits at counter 8
-    assert line_trace.beeped[8][2] and line_trace.counters[8][1:3] == [8, 7]
-    line_trace.induce_event[8][1] = True
+    # node 2 beeps at counter 7 while listening node 1 sits at counter 8 and
+    # jumps to 10
+    assert line_trace.states[8][2] is NodeState.BEEP
+    assert line_trace.counters[8][1:3] == [8, 7] and line_trace.counters[9][1] == 9
+    _set_counter(line_trace, 9, 1, 10)
     cps = compute_checkpoints(7, 4)
     _flagged("C4", check_invariants, _reference_check_invariants, line_trace, cps)
 
 
 def test_injected_c4_induced_by_activation_beep(line_trace):
-    # node 1 activates in round 1 and beeps at counter 0 beside node 0 at 1
+    # node 1 activates in round 1 and beeps at counter 0 beside node 0 at 1,
+    # which jumps to 3
     assert line_trace.activation_round[1] == 1 and line_trace.counters[1][:2] == [1, 0]
-    line_trace.induce_event[1][0] = True
+    assert line_trace.states[1][1] is NodeState.BEEP and line_trace.counters[2][0] == 2
+    _set_counter(line_trace, 2, 0, 3)
     cps = compute_checkpoints(7, 4)
     _flagged("C4", check_invariants, _reference_check_invariants, line_trace, cps)
 

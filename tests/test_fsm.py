@@ -191,6 +191,13 @@ def test_star_case_needs_clock_labels():
     )
     with pytest.raises(NotConstructible):
         classify(unlabeled, 6)
+    # the only beeping state on the silence cycle sits at clock 1
+    shifted = ProtocolAutomaton(
+        beep_next=base.beep_next, silence_next=base.silence_next, beeps=base.beeps,
+        clock_of=tuple((c + 1) % 6 for c in base.clock_of),
+    )
+    with pytest.raises(NotConstructible, match="no beeping state at clock 0"):
+        classify(shifted, 6)
 
 
 def test_classify_rejects_bad_period():
@@ -303,6 +310,10 @@ def test_parse_rejects_malformed():
         parse_automaton("states 2\n0 1 0 1 3\n1 0 0 0\n")
     with pytest.raises(ValueError):
         parse_automaton("states 2\n0 1 0 1\n0 0 0 0\n")
+    with pytest.raises(ValueError, match="expected 2 state lines, got 1"):
+        parse_automaton("states 2\n0 1 0 1\n")
+    with pytest.raises(ValueError, match="beep flag must be 0 or 1"):
+        parse_automaton("states 1\n0 0 0 2\n")
 
 
 def test_parse_skips_comments_and_blank_lines():

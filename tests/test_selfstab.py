@@ -172,6 +172,8 @@ def test_validate_config_domains():
         validate_config(cfg(0, StabState.LISTEN, b=5), 10, 3, budget)
     with pytest.raises(ValueError):
         validate_config(cfg(0, StabState.LISTEN, r=max_round_counter(3, budget) + 1), 10, 3, budget)
+    with pytest.raises(ValueError, match="bad state 'listen'"):
+        validate_config(StabNodeConfig(0, "listen", False, 0, 0), 10, 3, budget)
 
 
 def test_random_configs_deterministic_and_in_domain():

@@ -58,6 +58,10 @@ def test_build_rejects_bad_input():
         build([], 0)
     with pytest.raises(ValueError, match="not connected"):
         build([], 300_000_000)  # too few edges: rejected before allocating
+    with pytest.raises(ValueError, match=r"edge \(0, 5\) out of range for 3 nodes"):
+        build([(0, 1), (0, 5)], 3)
+    with pytest.raises(ValueError, match="not connected"):
+        build([(0, 1), (1, 0)], 3)  # enough edges, found by the search
 
 
 def test_build_ignores_edge_order():
@@ -121,6 +125,10 @@ def test_generate_kinds_constant():
     assert set(KINDS) == {"line", "star", "clique", "ring", "random_connected"}
     with pytest.raises(ValueError):
         generate("torus", 4)
+    with pytest.raises(ValueError, match="size must be >= 1, got 0"):
+        generate("line", 0)
+    with pytest.raises(ValueError, match="random_connected requires a seed"):
+        generate("random_connected", 5)
 
 
 def test_random_connected_deterministic():
@@ -341,9 +349,23 @@ def test_build_and_parse_refuse_oversized_graphs():
     ring = f"n {n}\n" + "".join(f"{v} {(v + 1) % n}\n" for v in range(n))
     with pytest.raises(ValueError, match=f"{n} nodes exceed the {MAX_NODES}-node limit"):
         parse_topology(ring)
+    # the header is refused before any edge line is read
+    with pytest.raises(ValueError, match=f"{n} nodes exceed the {MAX_NODES}-node limit"):
+        parse_topology(f"n {n}\nnot an edge\n")
     # duplicates count: the edge list is refused before it is read
     with pytest.raises(ValueError, match=f"{MAX_EDGES + 1} edges are over the {MAX_EDGES} limit"):
         build([(0, 1)] * (MAX_EDGES + 1), 2)
+
+
+def test_parse_refuses_the_edge_line_past_the_cap(monkeypatch):
+    monkeypatch.setattr(topology, "MAX_EDGES", 3)
+    ring = "n 4\n0 1\n1 2\n2 3\n"
+    assert len(parse_topology(ring).edges) == 3
+    with pytest.raises(ValueError, match="more than 3 edge lines, over the 3 limit"):
+        parse_topology(ring + "3 0\n")
+    # the line past the cap is refused before it is read
+    with pytest.raises(ValueError, match="more than 3 edge lines, over the 3 limit"):
+        parse_topology(ring + "not an edge\n")
 
 
 def test_format_parse_round_trip():
@@ -360,6 +382,8 @@ def test_parse_rejects_malformed():
         parse_topology("n 3\n0 1 2\n")
     with pytest.raises(ValueError):
         parse_topology("n 3\n0 one\n")
+    with pytest.raises(ValueError, match="empty topology file"):
+        parse_topology("# no header\n\n")
 
 
 def test_parse_skips_indented_comments():
