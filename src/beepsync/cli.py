@@ -8,9 +8,9 @@ BEEPSYNC_<FLAG> (uppercased, dashes become underscores); explicit flags win.
 
 Exit codes: 0 success, 2 invalid arguments or unusable input (including a
 sweep row whose run raised on its own kind, size and seed), 3 invariant
-violations found in the produced trace or a closure check that failed, 4
-bound breach (no convergence within the horizon, or convergence later than
-the theoretical bound).
+violations found in the produced trace, a failed closure check or an
+uncertified analyze-fsm counterexample, 4 bound breach (no convergence
+within the horizon, or convergence later than the theoretical bound).
 """
 
 from __future__ import annotations
@@ -289,7 +289,7 @@ def _cmd_analyze_fsm(args: argparse.Namespace) -> int:
             "certified_no_sync": certified,
         }
     )
-    return EXIT_OK
+    return EXIT_OK if certified else EXIT_INVARIANT
 
 
 def _parse_range(text: str) -> range:

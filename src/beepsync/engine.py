@@ -49,7 +49,7 @@ from .fsm import (
 from .selfstab import (
     StabNodeConfig,
     StabState,
-    consistency_check,
+    consistency_check,  # unused here; benchmarks/tracing.py counts calls through engine.consistency_check
     counter_threshold,
     max_round_counter,
     stab_step,  # unused here; benchmarks/tracing.py counts calls through engine.stab_step
@@ -182,34 +182,35 @@ class FastTrace:
 
 @dataclass
 class StabTrace:
-    """Per-round snapshots of a self-stabilizing run (states before repair)."""
+    """Per-round snapshots of a self-stabilizing run (configs before repair).
+
+    Index [t][v] gives node v at the beginning of round t: its id in the
+    cached ``build_stab_table(period, spacing)``, passed bit included, whose
+    columns give every other field, and its round counter.
+    """
 
     topology: Topology
     period: int
     spacing: int
     node_bound: int
-    clocks: list[list[int]]
-    states: list[list[StabState]]
-    induced: list[list[bool]]
+    ids: list[list[int]]
     round_counter: list[list[int]]
-    beep_count: list[list[int]]
-    beeped: list[list[bool]]
 
     def round_count(self) -> int:
-        return len(self.clocks)
+        return len(self.ids)
 
     def config_at(self, t: int, v: int) -> StabNodeConfig:
+        table = build_stab_table(self.period, self.spacing)
+        s = self.ids[t][v]
         return StabNodeConfig(
-            self.clocks[t][v],
-            self.states[t][v],
-            self.induced[t][v],
-            self.round_counter[t][v],
-            self.beep_count[t][v],
+            table.clock[s], table.state[s], table.induced[s],
+            self.round_counter[t][v], table.beep_count[s],
         )
 
 
-# The most node-round cells a trace may hold, at about 86 bytes a cell with
-# its checks: ring-1000 run-fast at T=8 holds 4.0M cells in a 330 MiB peak.
+# The most node-round cells a trace may hold. With its checks a fast trace
+# takes about 81 bytes a cell (ring-1000 run-fast at T=8: 4.0M cells, 310 MiB
+# tracemalloc peak), a self-stab trace about 41 (ring-300, T=12: 1.8M, 71 MiB).
 MAX_TRACE_CELLS = 1 << 22
 
 
@@ -591,12 +592,8 @@ def run_selfstab(
     open_entry: int | None = None
     prev_calm = False
     prev_pulse = 0
-    trace = StabTrace(topology, period, spacing, node_bound, [], [], [], [], [], [])
+    trace = StabTrace(topology, period, spacing, node_bound, [], [])
     saturation = max_round_counter(node_bound, budget)
-    columns = (
-        (table.clock, trace.clocks), (states, trace.states), (table.induced, trace.induced),
-        (table.beep_count, trace.beep_count), (table.beeps, trace.beeped),
-    )
 
     for t in range(horizon + 1):
         crossing = calendar.pop(t, 0)
@@ -650,9 +647,7 @@ def run_selfstab(
             open_entry = None
         prev_calm = not pulsing and not any_lock
         if record_trace:
-            ids = decode_masks(masks, n)
-            for column, rows in columns:
-                rows.append([column[s] for s in ids])
+            trace.ids.append(decode_masks(masks, n))
             trace.round_counter.append(
                 [t - b if t - b < saturation else saturation for b in base]
             )
@@ -699,44 +694,42 @@ def run_selfstab(
 def check_stab_invariants(trace: StabTrace) -> list[Violation]:
     """Checks counter semantics and pulse/lock episode lengths on a trace.
 
-    Pulse episodes entered during the run must beep exactly 4 consecutive
-    rounds and end in a lock; lock episodes entered during the run must last
-    exactly 4*node_bound rounds and end inactive. Episodes are measured on
-    repaired states, since a consistency reset turns a listen round into the
-    first pulse round before the trace snapshot can show it. The round
-    counter may only step up by one until it saturates, reset to 0, or sit at
-    1 right after a consistency reset; the beep counter clears on silent
-    listen rounds. The saturation value comes from the sync-round budget,
-    which the check derives from the trace's node bound, period and spacing.
+    Pulse episodes entered during the run must last exactly 4 consecutive
+    rounds, a beep each as a repaired pulse beeps, and end in a lock; lock
+    episodes entered during the run must last exactly 4*node_bound rounds
+    and end inactive. Episodes are measured on repaired states, since a
+    consistency reset turns a listen round into the first pulse round before
+    the trace snapshot can show it. The round counter may only step up by
+    one until it saturates, reset to 0, or sit at 1 right after a
+    consistency reset; the beep counter clears on silent listen rounds. The
+    saturation value comes from the sync-round budget, which the check
+    derives from the trace's node bound, period and spacing.
 
-    Each node's column is checked at once: the counter steps and silent
-    listens by whole-column comparisons, the pulse and lock episodes over
-    runs of equal repaired states. Violations come in the order of a scan
-    by node, then round.
+    Each node's column of ids is checked at once, its repaired states, beeps
+    and beep counts read from the stab table's columns: the counter steps
+    and silent listens by whole-column comparisons, the pulse and lock
+    episodes over runs of equal repaired states. Violations come in the
+    order of a scan by node, then round.
     """
     violations: list[Violation] = []
     budget = sync_round_budget(trace.node_bound, trace.period, trace.spacing)
     saturation = max_round_counter(trace.node_bound, budget)
     lock_length = 4 * trace.node_bound
-    cps = compute_checkpoints(trace.period, trace.spacing)
-    # the repaired state depends on the clock and the state alone
-    repaired = _Memo(lambda key: consistency_check(
-        StabNodeConfig(key[0], StabState(key[1]), False, 0, 0), cps
-    ).state)
-    post_rows = [
-        list(map(repaired.__getitem__, zip(clocks, map(_value, states))))
-        for clocks, states in zip(trace.clocks, trace.states)
-    ]
-    bits = [1 << v for v in range(trace.topology.node_count)]
-    beep_masks = [sum(compress(bits, row)) for row in trace.beeped]
-    columns = zip(
-        zip(*post_rows), zip(*trace.round_counter), zip(*trace.beep_count),
-        trace.topology.neighbor_masks,
-    )
+    table = build_stab_table(trace.period, trace.spacing)
     listen, beep = StabState.LISTEN, StabState.BEEP
     pulse, lock, inactive = StabState.PULSE, StabState.LOCK, StabState.INACTIVE
+    repaired = [pulse if p else s for p, s in zip(table.pulses, table.state)]
+    # the ids a silent listen must not step to
+    uncleared = [
+        s is not listen and s is not beep or b != 0 for s, b in zip(repaired, table.beep_count)
+    ]
+    bits = [1 << v for v in range(trace.topology.node_count)]
+    beeps = table.beeps.__getitem__
+    beep_masks = [sum(compress(bits, map(beeps, row))) for row in trace.ids]
+    columns = zip(zip(*trace.ids), zip(*trace.round_counter), trace.topology.neighbor_masks)
 
-    for v, (post, counters, beep_counts, around) in enumerate(columns):
+    for v, (ids, counters, around) in enumerate(columns):
+        post = list(map(repaired.__getitem__, ids))
         # (round found, place in the per-round scan, violation)
         found: list[tuple[int, int, Violation]] = []
 
@@ -748,8 +741,7 @@ def check_stab_invariants(trace: StabTrace) -> list[Violation]:
                 )))
 
         silent = [s is listen and not m & around for s, m in zip(post, beep_masks)]
-        uncleared = [s is not listen and s is not beep or b != 0 for s, b in zip(post, beep_counts)]
-        for t in compress(count(1), map(and_, silent, uncleared[1:])):
+        for t in compress(count(1), map(and_, silent, map(uncleared.__getitem__, ids[1:]))):
             state = post[t]
             if state is not listen and state is not beep:
                 detail = f"silent listen became {state.value}"
@@ -765,13 +757,10 @@ def check_stab_invariants(trace: StabTrace) -> list[Violation]:
             if prev is pulse:
                 if state is not lock:
                     found.append((t, 2, Violation("stab-pulse", t, v, f"pulse ended in {state.value}")))
-                if start > 0:
-                    beeps = sum(1 for row in trace.beeped[start:t] if row[v])
-                    if t - start != 4 or beeps != 4:
-                        found.append((t, 4, Violation(
-                            "stab-pulse", start, v,
-                            f"entered pulse lasted {t - start} rounds with {beeps} beeps",
-                        )))
+                if start > 0 and t - start != 4:
+                    found.append((t, 4, Violation(
+                        "stab-pulse", start, v, f"entered pulse lasted {t - start} rounds"
+                    )))
             elif prev is lock:
                 if state is not inactive:
                     found.append((t, 3, Violation("stab-lock", t, v, f"lock ended in {state.value}")))
@@ -791,21 +780,22 @@ def _export_rounds(
     """Yields each round's index, per-node fragments and virtual counters.
 
     A fragment is ``render`` applied to a row's fields from ``clock`` to
-    ``beep_class``. It is rendered once per distinct (clock, state, induced,
-    r, b, beeped, beep class) and cached, not once per row; a fast trace's
-    beep class depends on whether the node activated in that round, so the
-    cache key holds that flag.
+    ``beep_class``. It is rendered once and cached, not once per row: per
+    distinct (id, r) of a self-stab trace, whose other fields are the stab
+    table's columns at the id, and per distinct (clock, state, induced) of a
+    fast trace and whether the node activated in that round, on which its
+    beep class depends.
     """
     rounds = range(trace.round_count())
     if isinstance(trace, StabTrace):
-        stab = _Memo(lambda key: render((*key, None)))
+        table = build_stab_table(trace.period, trace.spacing)
+        stab = _Memo(lambda key: render((
+            table.clock[key[0]], table.state[key[0]].value, table.induced[key[0]], key[1],
+            table.beep_count[key[0]], table.beeps[key[0]], None,
+        )))
         none = [None] * trace.topology.node_count
         for t in rounds:
-            keys = zip(
-                trace.clocks[t], map(_value, trace.states[t]), trace.induced[t],
-                trace.round_counter[t], trace.beep_count[t], trace.beeped[t],
-            )
-            yield t, map(stab.__getitem__, keys), none
+            yield t, map(stab.__getitem__, zip(trace.ids[t], trace.round_counter[t])), none
         return
     cps = compute_checkpoints(trace.period, trace.spacing)
 

@@ -489,6 +489,22 @@ def test_analyze_fsm_from_file(tmp_path, capsys):
     assert summary["case"] == "B"
 
 
+def test_analyze_fsm_refuted_counterexample_is_invariant_failure(tmp_path, capsys):
+    # only state 1 beeps, and its heard-beep and silence successors differ: a
+    # lone beeper never hears itself, so the one-node Case B clique leaves
+    # the beep cycle and the certifier refutes it
+    path = tmp_path / "auto.txt"
+    path.write_text(
+        "states 5\n0 1 3 0 3\n1 1 2 1 1\n2 1 0 0 1\n3 1 1 0 3\n4 1 2 0 1\n", encoding="utf-8"
+    )
+    code, captured = run_cli(capsys, "analyze-fsm", "--automaton", str(path), "--T", "4")
+    assert code == 3
+    summary = last_json(captured.out)
+    assert summary["case"] == "B"
+    assert summary["counterexample_nodes"] == 1
+    assert summary["certified_no_sync"] is False
+
+
 def test_analyze_fsm_needs_source(capsys):
     code, captured = run_cli(capsys, "analyze-fsm", "--T", "4")
     assert code == 2

@@ -1,7 +1,7 @@
 import copy
 import csv
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 from unittest import mock
 
 import pytest
@@ -31,6 +31,7 @@ from beepsync.selfstab import (
     StabNodeConfig,
     StabState,
     consistency_check,
+    counter_threshold,
     legitimate_configs,
     max_round_counter,
     random_configs,
@@ -46,7 +47,7 @@ from beepsync.fast_protocol import (
     step,
     will_beep,
 )
-from beepsync.fsm import certify_no_sync, classify, extract_fast_automaton
+from beepsync.fsm import build_stab_table, certify_no_sync, classify, extract_fast_automaton
 from beepsync.topology import KINDS, Topology, build, generate
 
 
@@ -185,8 +186,8 @@ def test_all_pulse_clique_locks_then_releases():
     topo = generate("clique", 3)
     initial = [StabNodeConfig(0, StabState.PULSE, False, 0, 0) for _ in range(3)]
     result, trace = run_selfstab(topo, initial, 10, spacing=5, node_bound=3)
-    assert trace.states[4] == [StabState.LOCK] * 3
-    assert trace.states[16] == [StabState.INACTIVE] * 3
+    assert [trace.config_at(4, v).state for v in range(3)] == [StabState.LOCK] * 3
+    assert [trace.config_at(16, v).state for v in range(3)] == [StabState.INACTIVE] * 3
     assert result.all_lock_round == 4
 
 
@@ -250,7 +251,7 @@ def test_stab_invariants_flag_truncated_lock():
     initial = [StabNodeConfig(0, StabState.PULSE, False, 0, 0) for _ in range(3)]
     _, trace = run_selfstab(topo, initial, 10, spacing=5, node_bound=3)
     bad = copy.deepcopy(trace)
-    bad.states[10][0] = StabState.INACTIVE
+    _set_stab_cell(bad, 10, 0, state=StabState.INACTIVE)
     assert check_stab_invariants(bad) != []
 
 
@@ -518,7 +519,9 @@ def _reference_run_selfstab(
     record_trace=True,
 ):
     """The per-node engine: every node is repaired and stepped through
-    ``consistency_check`` and ``stab_step`` each round."""
+    ``consistency_check`` and ``stab_step`` each round. Returns the result,
+    the trace, whose ids are ``StabTable.code`` of each config with its
+    counter's threshold bit, and each round's beep flags."""
     n = topology.node_count
     if node_bound is None:
         node_bound = n
@@ -534,6 +537,7 @@ def _reference_run_selfstab(
         validate_config(cfg, period, node_bound, budget)
 
     neighbors = topology.neighbors
+    table = build_stab_table(period, spacing)
     configs = list(initial)
     streak_start: int | None = None
     all_lock_round: int | None = None
@@ -546,11 +550,8 @@ def _reference_run_selfstab(
     open_entry: int | None = None
     prev_calm = False
 
-    clocks_rows: list[list[int]] = []
-    states_rows: list[list[StabState]] = []
-    induced_rows: list[list[bool]] = []
+    id_rows: list[list[int]] = []
     rc_rows: list[list[int]] = []
-    bc_rows: list[list[int]] = []
     beeped_rows: list[list[bool]] = []
 
     for t in range(horizon + 1):
@@ -594,11 +595,11 @@ def _reference_run_selfstab(
             open_entry = None
         prev_calm = not pulsing and StabState.LOCK not in repaired
         if record_trace:
-            clocks_rows.append([c.clock for c in configs])
-            states_rows.append([c.state for c in configs])
-            induced_rows.append([c.induced for c in configs])
+            id_rows.append([
+                table.code(c, c.round_counter >= counter_threshold(c.state, node_bound, budget))
+                for c in configs
+            ])
             rc_rows.append([c.round_counter for c in configs])
-            bc_rows.append([c.beep_count for c in configs])
             beeped_rows.append(beeping)
 
         if (
@@ -630,12 +631,8 @@ def _reference_run_selfstab(
             period=period,
             spacing=spacing,
             node_bound=node_bound,
-            clocks=clocks_rows,
-            states=states_rows,
-            induced=induced_rows,
+            ids=id_rows,
             round_counter=rc_rows,
-            beep_count=bc_rows,
-            beeped=beeped_rows,
         )
     streak = 0 if streak_start is None else last_t - streak_start
     result = SimResult(
@@ -650,7 +647,16 @@ def _reference_run_selfstab(
         quiet_pulses=quiet_pulses,
         quiet_lock_delay=lock_delay if quiet_pulses and open_entry is None else None,
     )
-    return result, trace
+    return result, trace, beeped_rows
+
+
+def assert_same_stab_trace(trace, expected_trace, beeped_rows):
+    """Every trace field equals the reference's, ids with their threshold
+    bits, and the reference's beep flags are the table's ``beeps`` at the ids."""
+    for f in fields(StabTrace):
+        assert getattr(trace, f.name) == getattr(expected_trace, f.name), f.name
+    beeps = build_stab_table(trace.period, trace.spacing).beeps
+    assert [[beeps[s] for s in row] for row in trace.ids] == beeped_rows
 
 
 @st.composite
@@ -680,17 +686,16 @@ def stab_runs(draw):
 @given(stab_runs())
 def test_traced_selfstab_matches_per_node_reference(run):
     result, trace = run_selfstab(*run)
-    expected, expected_trace = _reference_run_selfstab(*run)
+    expected, *reference = _reference_run_selfstab(*run)
     assert result == expected
-    for f in fields(StabTrace):
-        assert getattr(trace, f.name) == getattr(expected_trace, f.name), f.name
+    assert_same_stab_trace(trace, *reference)
 
 
 @DIFFERENTIAL
 @given(stab_runs())
 def test_untraced_selfstab_matches_per_node_reference(run):
     result, trace = run_selfstab(*run, record_trace=False)
-    expected, _ = _reference_run_selfstab(*run, record_trace=False)
+    expected, *_ = _reference_run_selfstab(*run, record_trace=False)
     assert trace is None
     assert result == expected
 
@@ -729,15 +734,14 @@ def test_selfstab_tables_do_not_leak_between_node_bounds():
         for seed in range(3):
             initial = random_configs(4, 10, node_bound, budget, seed=seed)
             run = (topo, initial, 10, 5, node_bound, None, 40)
-            assert run_selfstab(*run) == _reference_run_selfstab(*run)
+            assert run_selfstab(*run) == _reference_run_selfstab(*run)[:2]
 
 
 def assert_same_selfstab_run(run):
     result, trace = run_selfstab(*run)
-    expected, expected_trace = _reference_run_selfstab(*run)
+    expected, *reference = _reference_run_selfstab(*run)
     assert result == expected
-    for f in fields(StabTrace):
-        assert getattr(trace, f.name) == getattr(expected_trace, f.name), f.name
+    assert_same_stab_trace(trace, *reference)
     return trace
 
 
@@ -760,7 +764,7 @@ def test_selfstab_counter_calendar_traps():
         StabNodeConfig(7, listen, False, saturation - 1, 0),
     ]
     trace = assert_same_selfstab_run((topo, initial, 12, 5, node_bound, 60, None))
-    states = [row[1] for row in trace.states]
+    states = [trace.config_at(t, 1).state for t in range(trace.round_count())]
     assert states[4:9] == [pulse] * 4 + [lock]
     assert budget in range(8, 8 + 4 * node_bound)
     assert states[8:8 + 4 * node_bound] == [lock] * (4 * node_bound)
@@ -777,8 +781,8 @@ def test_selfstab_counter_calendar_traps():
     ]
     trace = assert_same_selfstab_run((topo, initial, 12, 5, node_bound, 30, None))
     assert [row[0] for row in trace.round_counter][:3] == [9, 1, 2]
-    assert [row[1] for row in trace.states][:2] == [lock, StabState.INACTIVE]
-    assert [row[3] for row in trace.states][:2] == [pulse, lock]
+    assert [trace.config_at(t, 1).state for t in (0, 1)] == [lock, StabState.INACTIVE]
+    assert [trace.config_at(t, 3).state for t in (0, 1)] == [pulse, lock]
 
 
 @pytest.mark.parametrize("node_bound", [None, 250], ids=["N=n", "N=2.5n"])
@@ -830,18 +834,21 @@ def _reference_fast_rows(trace):
 
 
 def _reference_stab_rows(trace):
-    """The old ``StabTrace.rows``: one dict per (round, node)."""
+    """The old ``StabTrace.rows``: one dict per (round, node), a beep read
+    from the repaired config."""
+    cps = compute_checkpoints(trace.period, trace.spacing)
     for t in range(trace.round_count()):
         for v in range(trace.topology.node_count):
+            config = trace.config_at(t, v)
             yield {
                 "round": t,
                 "node": v,
-                "clock": trace.clocks[t][v],
-                "state": trace.states[t][v].value,
-                "induced": trace.induced[t][v],
-                "r": trace.round_counter[t][v],
-                "b": trace.beep_count[t][v],
-                "beeped": trace.beeped[t][v],
+                "clock": config.clock,
+                "state": config.state.value,
+                "induced": config.induced,
+                "r": config.round_counter,
+                "b": config.beep_count,
+                "beeped": will_beep_stab(consistency_check(config, cps)),
                 "beep_class": None,
                 "virtual_counter": None,
             }
@@ -998,7 +1005,8 @@ def _reference_check_invariants(trace, checkpoints):
 
 
 def _reference_check_stab_invariants(trace, budget):
-    """The old per-cell scan: one ``consistency_check`` per (round, node)."""
+    """The old per-cell scan: one ``consistency_check`` per (round, node),
+    which also gives the beeps."""
     violations: list[Violation] = []
     n = trace.topology.node_count
     rounds = trace.round_count()
@@ -1006,13 +1014,14 @@ def _reference_check_stab_invariants(trace, budget):
     saturation = max_round_counter(trace.node_bound, budget)
     cps = compute_checkpoints(trace.period, trace.spacing)
 
-    post_states = [
-        [consistency_check(trace.config_at(t, v), cps).state for v in range(n)]
+    checked = [
+        [consistency_check(trace.config_at(t, v), cps) for v in range(n)]
         for t in range(rounds)
     ]
+    post_states = [[c.state for c in row] for row in checked]
     heard_rows = []
     for t in range(rounds):
-        beeped = trace.beeped[t]
+        beeped = [will_beep_stab(c) for c in checked[t]]
         heard_rows.append([any(beeped[w] for w in neighbors[v]) for v in range(n)])
 
     for v in range(n):
@@ -1033,7 +1042,7 @@ def _reference_check_stab_invariants(trace, budget):
                         violations.append(
                             Violation("stab-b", t, v, f"silent listen became {state.value}")
                         )
-                    elif trace.beep_count[t][v] != 0:
+                    elif checked[t][v].beep_count != 0:
                         violations.append(
                             Violation("stab-b", t, v, "beep count not cleared on silent listen")
                         )
@@ -1048,13 +1057,9 @@ def _reference_check_stab_invariants(trace, budget):
             else:
                 if pulse_entry is not None and pulse_entry > 0:
                     length = t - pulse_entry
-                    beeps = sum(1 for u in range(pulse_entry, t) if trace.beeped[u][v])
-                    if length != 4 or beeps != 4:
+                    if length != 4:
                         violations.append(
-                            Violation(
-                                "stab-pulse", pulse_entry, v,
-                                f"entered pulse lasted {length} rounds with {beeps} beeps",
-                            )
+                            Violation("stab-pulse", pulse_entry, v, f"entered pulse lasted {length} rounds")
                         )
                 pulse_entry = None
             if state is StabState.LOCK:
@@ -1159,12 +1164,8 @@ def test_stab_checker_and_export_match_reference(export_dir, run, data):
     budget = sync_round_budget(node_bound, period, spacing)
     saturation = max_round_counter(node_bound, budget)
     bad = _mutate(data, trace, {
-        "clocks": lambda c: st.integers(0, period - 1),
-        "states": lambda s: st.sampled_from(StabState),
-        "induced": lambda b: st.booleans(),
+        "ids": lambda s: st.integers(0, 100 * period - 1),
         "round_counter": lambda r: _near(r, saturation),
-        "beep_count": lambda b: st.integers(0, 4),
-        "beeped": lambda b: st.booleans(),
     })
     assert check_stab_invariants(bad) == _reference_check_stab_invariants(bad, budget)
     for write, reference in (
@@ -1253,6 +1254,14 @@ def test_injected_c7_late_neighbor_counter(line_trace):
     _flagged("C7", check_invariants, _reference_check_invariants, line_trace, cps)
 
 
+def _set_stab_cell(trace, t, v, **changes):
+    """Sets node v's round-t id to the id of its config with ``changes``,
+    keeping the cell's threshold bit."""
+    table = build_stab_table(trace.period, trace.spacing)
+    passed = trace.ids[t][v] >= table.passed_offset
+    trace.ids[t][v] = table.code(replace(trace.config_at(t, v), **changes), passed)
+
+
 @pytest.fixture
 def pulse_trace():
     # the clique pulses in rounds 0-3, locks in 4-15 and is inactive from 16
@@ -1266,24 +1275,21 @@ def test_injected_stab_b_beep_count_kept_on_silent_listen():
     topo = generate("clique", 3)
     _, trace = run_selfstab(topo, legitimate_configs(3, 8), 8, spacing=5, stability_window=32)
     # every node listens in silence from round 0 to 6
-    trace.beep_count[3][1] = 2
+    _set_stab_cell(trace, 3, 1, beep_count=2)
     budget = sync_round_budget(3, 8, 5)
     _flagged("stab-b", check_stab_invariants,
              lambda bad: _reference_check_stab_invariants(bad, budget), trace)
 
 
 def test_injected_stab_pulse_cut_short(pulse_trace):
-    pulse_trace.states[2][0] = StabState.LISTEN
-    pulse_trace.clocks[2][0] = 3
-    pulse_trace.beeped[2][0] = False
+    _set_stab_cell(pulse_trace, 2, 0, state=StabState.LISTEN, clock=3)
     budget = sync_round_budget(3, 10, 5)
     _flagged("stab-pulse", check_stab_invariants,
              lambda bad: _reference_check_stab_invariants(bad, budget), pulse_trace)
 
 
 def test_injected_stab_lock_left_for_beep(pulse_trace):
-    pulse_trace.states[9][1] = StabState.BEEP
-    pulse_trace.beeped[9][1] = True
+    _set_stab_cell(pulse_trace, 9, 1, state=StabState.BEEP)
     budget = sync_round_budget(3, 10, 5)
     _flagged("stab-lock", check_stab_invariants,
              lambda bad: _reference_check_stab_invariants(bad, budget), pulse_trace)

@@ -27,12 +27,15 @@ from beepsync.fsm import (
 from beepsync.selfstab import (
     StabNodeConfig,
     StabState,
+    consistency_check,
     counter_threshold,
     max_round_counter,
     random_configs,
+    stab_step,
     will_beep_stab,
 )
 from beepsync.topology import generate
+from test_selfstab import _reference_stab_step
 
 
 def swap_automaton():
@@ -371,8 +374,10 @@ def table_stepper(table, node_bound, budget):
 @pytest.mark.parametrize("period", range(4, 13))
 def test_stab_table_matches_repair_and_step_on_whole_domain(period):
     # every in-domain config and input, every valid spacing, N in {1, 2, 3, 5}:
-    # the id without the counter, plus the counter rule, decodes to exactly
-    # the config repair_and_step gives
+    # stab_step equals the reference with its own beep and listen branches,
+    # and the id without the counter, plus the counter rule, decodes to
+    # exactly the config repair_and_step gives; a config the repair leaves
+    # as it is steps only once
     for spacing in (4, *range(5, period + 1)):
         table = build_stab_table(period, spacing)
         cps = compute_checkpoints(period, spacing)
@@ -387,9 +392,14 @@ def test_stab_table_matches_repair_and_step_on_whole_domain(period):
                             s = table.code(StabNodeConfig(clock, state, induced, 0, b), False)
                             for r in counters:
                                 config = StabNodeConfig(clock, state, induced, r, b)
-                                checked, quiet, loud = repair_and_step(
-                                    config, cps, node_bound, budget
-                                )
+                                args = (cps, node_bound, budget)
+                                quiet = stab_step(config, False, *args)
+                                loud = stab_step(config, True, *args)
+                                assert quiet == _reference_stab_step(config, False, *args), config
+                                assert loud == _reference_stab_step(config, True, *args), config
+                                checked = consistency_check(config, cps)
+                                if checked != config:
+                                    checked, quiet, loud = repair_and_step(config, *args)
                                 flags = (will_beep_stab(checked), checked.state is StabState.PULSE)
                                 assert step(s, r, False) == (*flags, quiet), config
                                 assert step(s, r, True) == (*flags, loud), config
