@@ -1,6 +1,6 @@
 import pytest
 
-from beepsync.checkpoints import CheckpointSet, compute_checkpoints, sync_round_budget
+from beepsync.checkpoints import compute_checkpoints, sync_round_budget
 from beepsync.selfstab import (
     StabNodeConfig,
     StabState,
@@ -16,6 +16,7 @@ from beepsync.selfstab import (
     validate_config,
     will_beep_stab,
 )
+from test_fsm import whole_domain_mismatches
 
 CP12 = compute_checkpoints(12, 5)
 CP10 = compute_checkpoints(10, 5)
@@ -219,59 +220,8 @@ def test_save_and_load_configs(tmp_path):
     assert load_configs(str(path)) == configs
 
 
-def _reference_stab_step(
-    config: StabNodeConfig,
-    heard: bool,
-    checkpoints: CheckpointSet,
-    node_bound: int,
-    budget: int,
-) -> StabNodeConfig:
-    """The transition with its own beep and listen branches, before they
-    were folded into ``fast_protocol.step``; test_fsm checks ``stab_step``
-    against it on the whole domain."""
-    period = checkpoints.period
-    saturation = max_round_counter(node_bound, budget)
-    rounds = config.round_counter
-    if rounds < saturation:
-        rounds += 1
-    state = config.state
 
-    if state is StabState.INACTIVE:
-        if heard or rounds >= 4 * node_bound:
-            return StabNodeConfig(1, StabState.BEEP, True, 0, 1)
-        return StabNodeConfig(config.clock, state, config.induced, rounds, config.beep_count)
-
-    if state is StabState.BEEP:
-        beeps = min(config.beep_count + 1, 4)
-        if beeps >= 4:
-            return StabNodeConfig(config.clock, StabState.PULSE, config.induced, 0, beeps)
-        return StabNodeConfig(
-            (config.clock + 1) % period, StabState.LISTEN, config.induced, rounds, beeps
-        )
-
-    if state is StabState.LISTEN:
-        if heard:
-            beeps = min(config.beep_count + 1, 4)
-            if beeps >= 4 or rounds > budget:
-                return StabNodeConfig(config.clock, StabState.PULSE, config.induced, 0, beeps)
-            if checkpoints.is_pre_checkpoint(config.clock):
-                return StabNodeConfig(
-                    (config.clock + 2) % period, StabState.BEEP, True, rounds, beeps
-                )
-            return StabNodeConfig(
-                (config.clock + 1) % period, StabState.LISTEN, config.induced, rounds, beeps
-            )
-        clock = (config.clock + 1) % period
-        if (config.induced and clock in checkpoints) or clock == 0:
-            return StabNodeConfig(clock, StabState.BEEP, False, rounds, 0)
-        return StabNodeConfig(clock, StabState.LISTEN, config.induced, rounds, 0)
-
-    if state is StabState.PULSE:
-        if rounds >= 4:
-            return StabNodeConfig(config.clock, StabState.LOCK, config.induced, 0, config.beep_count)
-        return StabNodeConfig(config.clock, state, config.induced, rounds, config.beep_count)
-
-    # lock
-    if rounds >= 4 * node_bound:
-        return StabNodeConfig(config.clock, StabState.INACTIVE, config.induced, 0, config.beep_count)
-    return StabNodeConfig(config.clock, state, config.induced, rounds, config.beep_count)
+@pytest.mark.parametrize("period", range(4, 13))
+def test_stab_step_matches_reference_on_whole_domain(period):
+    # every (config, input) pair for every valid spacing and N in {1, 2, 3, 5}
+    assert whole_domain_mismatches(period)[0] is None
