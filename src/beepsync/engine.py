@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from itertools import compress, count
 from operator import and_, attrgetter, is_not, itemgetter, ne, sub
 from typing import Callable, Iterator
@@ -55,6 +56,7 @@ from .selfstab import (
     stab_step,  # unused here; benchmarks/tracing.py counts calls through engine.stab_step
     validate_config,
 )
+from . import topology as _topology
 from .topology import Topology, bit_flags
 
 
@@ -210,7 +212,7 @@ class StabTrace:
 
 # The most node-round cells a trace may hold. With its checks a fast trace
 # takes about 81 bytes a cell (ring-1000 run-fast at T=8: 4.0M cells, 310 MiB
-# tracemalloc peak), a self-stab trace about 41 (ring-300, T=12: 1.8M, 71 MiB).
+# tracemalloc peak), a self-stab trace about 18 (ring-300, T=12: 1.8M, 30.5 MiB).
 MAX_TRACE_CELLS = 1 << 22
 
 
@@ -546,6 +548,14 @@ def run_selfstab(
         from such an entry to the first round k >= t in which every repaired
         state is a lock; None when there is no entry or when some entry
         meets no all-lock round before the run ends.
+
+    Each distinct round is worked out once per run, while the memo has
+    room: keyed on the round's masks, it keeps the round's summary, its
+    successor masks and its counter restarts.
+    An untraced run jumps from a stationary round, one whose successor has
+    the same masks and restarts no counter, to the next calendar round or
+    the horizon, since the rounds between them repeat it.
+    ``result.rounds_run`` is still the round the run stopped in.
     """
     n = topology.node_count
     if node_bound is None:
@@ -565,7 +575,8 @@ def run_selfstab(
     neighborhood = topology.neighborhood_for_run()
     states = table.state
     legit_clocks = table.legit_clock
-    beep_next = table.beep_next
+    beep_next, silence_next = table.beep_next, table.silence_next
+    quiet_restart, loud_restart = table.quiet_restart, table.loud_restart
     pulses = table.pulses
     restarts = table.restarts
     threshold = {state: counter_threshold(state, node_bound, budget) for state in StabState}
@@ -581,7 +592,17 @@ def run_selfstab(
     for v, d in enumerate(due):
         if d > 0:
             calendar[d] = calendar.get(d, 0) | 1 << v
+    # the calendar's rounds, pushed whenever an entry turns non-zero; rounds
+    # already popped, or emptied by a restart, are dropped only when a jump
+    # looks for the next one
+    keys = list(calendar)
+    heapify(keys)
     masks = state_masks([table.code(c, d <= 0) for c, d in zip(initial, due)])
+    # a round's masks (after its crossing) -> its summary and its successor;
+    # entries are kept while they hold fewer than MAX_MEMO_ENTRIES node sets
+    # in all, about as many as the neighbourhood memo keeps
+    memo: dict[tuple, tuple] = {}
+    memo_room = _topology.MAX_MEMO_ENTRIES
     streak_start: int | None = None
     all_lock_round: int | None = None
     entered_pulse = False
@@ -594,43 +615,71 @@ def run_selfstab(
     prev_pulse = 0
     trace = StabTrace(topology, period, spacing, node_bound, [], [])
     saturation = max_round_counter(node_bound, budget)
+    # one int object per counter value, shared by every trace cell
+    counters = list(range(saturation)) if record_trace else []
 
-    for t in range(horizon + 1):
+    t = 0
+    while True:
         crossing = calendar.pop(t, 0)
         if crossing:
-            for s, m in list(masks.items()):
+            # a new dict, as the old one may be a memo entry's successor
+            crossed = dict(masks)
+            for s, m in masks.items():
                 moving = m & crossing
                 if moving:
                     if moving == m:
-                        del masks[s]
+                        del crossed[s]
                     else:
-                        masks[s] = m ^ moving
+                        crossed[s] = m ^ moving
                     passed = s + table.passed_offset
-                    masks[passed] = masks.get(passed, 0) | moving
-        pulse = 0
-        clocks = set()  # None stands for a config that is not legitimate
-        all_lock = True
-        pulsing = any_lock = False
-        restarting = []
-        for s, m in masks.items():
-            state = states[s]
-            if state is StabState.LOCK:
-                any_lock = True
-            else:
-                all_lock = False
-                if state is StabState.PULSE:
-                    pulse |= m
-            clocks.add(legit_clocks[s])
-            if pulses[s]:
-                pulsing = True
-            if restarts[s]:
-                restarting.append((s, m))
+                    crossed[passed] = crossed.get(passed, 0) | moving
+            masks = crossed
+        key = tuple(masks.items())
+        entry = memo.get(key)
+        if entry is None:
+            nxt, heard = advance(table, masks, neighborhood)
+            pulse = 0
+            clocks = set()  # None stands for a config that is not legitimate
+            all_lock = True
+            pulsing = any_lock = False
+            # each restart's nodes, and its restart and due rounds less t
+            moves = []
+            for s, m in masks.items():
+                state = states[s]
+                if state is StabState.LOCK:
+                    any_lock = True
+                else:
+                    all_lock = False
+                    if state is StabState.PULSE:
+                        pulse |= m
+                clocks.add(legit_clocks[s])
+                if pulses[s]:
+                    pulsing = True
+                if restarts[s]:
+                    on = m & heard
+                    off = m ^ on
+                    if off and quiet_restart[s] >= 0:
+                        start = 1 - quiet_restart[s]
+                        moves.append((off, start, start + threshold[states[silence_next[s]]]))
+                    if on and loud_restart[s] >= 0:
+                        start = 1 - loud_restart[s]
+                        moves.append((on, start, start + threshold[states[beep_next[s]]]))
+            # Stationary: the rounds up to the next crossing repeat this one.
+            # Only pulse, lock and inactive ids are their own successors, so
+            # such a round is never legitimate.
+            stationary = not moves and nxt == masks
+            legit = len(clocks) == 1 and None not in clocks
+            entry = (pulse, legit, all_lock, pulsing, any_lock, nxt, moves, stationary)
+            if memo_room > 0:
+                memo[key] = entry
+                memo_room -= len(key)
+        pulse, legit, all_lock, pulsing, any_lock, nxt, moves, stationary = entry
         pulse_seen = pulse_seen or pulse != 0
         entered_pulse = entered_pulse or (t > 0 and pulse & ~prev_pulse != 0)
         prev_pulse = pulse
         if all_lock and all_lock_round is None:
             all_lock_round = t
-        if len(clocks) == 1 and None not in clocks:
+        if legit:
             if streak_start is None:
                 streak_start = t
         else:
@@ -649,7 +698,7 @@ def run_selfstab(
         if record_trace:
             trace.ids.append(decode_masks(masks, n))
             trace.round_counter.append(
-                [t - b if t - b < saturation else saturation for b in base]
+                [counters[t - b] if t - b < saturation else saturation for b in base]
             )
 
         if t == horizon or (
@@ -658,22 +707,23 @@ def run_selfstab(
             and t - streak_start >= stability_window
         ):
             break
-        masks, heard = advance(table, masks, neighborhood)
-        for s, m in restarting:
-            on = m & heard
-            for moved, counter, nxt in (
-                (m ^ on, table.quiet_restart[s], table.silence_next[s]),
-                (on, table.loud_restart[s], beep_next[s]),
-            ):
-                if moved and counter >= 0:
-                    start = t + 1 - counter
-                    d = start + threshold[states[nxt]]
-                    for v in compress(nodes, bit_flags(moved)):
-                        if due[v] > t:
-                            calendar[due[v]] ^= 1 << v
-                        due[v] = d
-                        base[v] = start
-                    calendar[d] = calendar.get(d, 0) | moved
+        masks = nxt
+        for moved, shift, wait in moves:
+            start, d = t + shift, t + wait
+            for v in compress(nodes, bit_flags(moved)):
+                if due[v] > t:
+                    calendar[due[v]] ^= 1 << v
+                due[v] = d
+                base[v] = start
+            if not calendar.get(d):
+                heappush(keys, d)
+            calendar[d] = calendar.get(d, 0) | moved
+        if stationary and not record_trace:
+            while keys and not calendar.get(keys[0]):
+                heappop(keys)
+            t = min(keys[0], horizon) if keys else horizon
+        else:
+            t += 1
 
     streak = 0 if streak_start is None else t - streak_start
     result = SimResult(

@@ -5,7 +5,7 @@ from dataclasses import fields, replace
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from beepsync import engine
@@ -660,7 +660,12 @@ def assert_same_stab_trace(trace, expected_trace, beeped_rows):
 
 
 @st.composite
-def stab_runs(draw):
+def stab_runs(draw, stationary=False):
+    """Self-stab runs from arbitrary configs. With ``stationary``, every node
+    starts locked or inactive, so the run begins in stationary stretches (no
+    beep, every id its own silence successor): counters sit at their
+    threshold, one below it or far below it, and horizons end inside or just
+    past a stretch."""
     kind = draw(st.sampled_from(KINDS))
     n = draw(st.integers(2 if kind == "star" else 1, 10))
     topo = generate(kind, n, seed=draw(st.integers(0, 2**16)))
@@ -668,18 +673,67 @@ def stab_runs(draw):
     period = draw(st.integers(4, 16))
     spacing = draw(st.sampled_from([4, *range(5, period + 1)]))
     saturation = max_round_counter(node_bound, sync_round_budget(node_bound, period, spacing))
+    states = st.sampled_from(StabState)
+    counters = st.integers(0, saturation)
+    horizons = st.none() | st.sampled_from([0, 1]) | st.integers(2, 6 * period)
+    if stationary:
+        wait = counter_threshold(StabState.LOCK, node_bound, 0)
+        states = st.sampled_from([StabState.LOCK, StabState.INACTIVE])
+        counters = st.sampled_from([wait, wait - 1, 0, 1]) | counters
+        horizons = st.sampled_from([0, 1, wait - 1, wait, wait + 1]) | st.integers(2, 12 * node_bound)
     config = st.builds(
         StabNodeConfig,
         st.integers(0, period - 1),
-        st.sampled_from(StabState),
+        states,
         st.booleans(),
-        st.integers(0, saturation),
+        counters,
         st.integers(0, 4),
     )
     initial = draw(st.lists(config, min_size=n, max_size=n))
-    horizon = draw(st.none() | st.sampled_from([0, 1]) | st.integers(2, 6 * period))
+    horizon = draw(horizons)
     window = draw(st.none() | st.integers(0, 4 * period))
     return topo, initial, period, spacing, node_bound, horizon, window
+
+
+@pytest.mark.parametrize("period, spacing", [(4, 4), (9, 5), (16, 5)])
+def test_ids_that_step_to_themselves_are_never_legitimate(period, spacing):
+    # so a stationary round, whose ids all step to themselves, can neither
+    # start nor end a legitimate streak, and run_selfstab may jump past it
+    table = build_stab_table(period, spacing)
+    for s, successors in enumerate(zip(table.beep_next, table.silence_next)):
+        if s in successors:
+            assert table.state[s] in (StabState.PULSE, StabState.LOCK, StabState.INACTIVE)
+            assert table.legit_clock[s] is None
+
+
+# Line 0 - 1 - 2, N = 3, T = 12: node 0 listens at clock 0, so the repair
+# pulses it at round 0 and its restart empties its listen due round, 10;
+# the all-lock stretch from round 4 to the lock crossing at round 11 spans
+# that empty calendar entry.
+_EMPTIED_DUE = (
+    [
+        StabNodeConfig(0, StabState.LISTEN, False, sync_round_budget(3, 12, 5) - 10, 0),
+        StabNodeConfig(4, StabState.LOCK, False, 0, 0),
+        StabNodeConfig(4, StabState.LOCK, True, 0, 2),
+    ],
+    12, 5, None,
+)
+
+
+@DIFFERENTIAL
+@given(stab_runs(stationary=True))
+@example((generate("line", 3), *_EMPTIED_DUE, 10, None))
+@example((generate("line", 3), *_EMPTIED_DUE, 60, 8))
+# past round 100 this run meets a round whose memo entry's successor is
+# also a crossing's input: a crossing that edited it would change the run
+@example((
+    generate("line", 4),
+    [StabNodeConfig(0, StabState.LOCK, False, c, 0) for c in (15, 15, 14, 0)],
+    4, 4, 4, 150, None,
+))
+def test_stationary_selfstab_runs_match_per_node_reference(run):
+    test_traced_selfstab_matches_per_node_reference.hypothesis.inner_test(run)
+    test_untraced_selfstab_matches_per_node_reference.hypothesis.inner_test(run)
 
 
 @DIFFERENTIAL
@@ -702,9 +756,10 @@ def test_untraced_selfstab_matches_per_node_reference(run):
 
 @pytest.mark.parametrize("cap", [0, 1])
 @settings(derandomize=True, deadline=None, max_examples=40)
-@given(run=stab_runs())
+@given(run=stab_runs() | stab_runs(stationary=True))
 def test_selfstab_runs_match_per_node_reference_with_capped_memo(cap, run):
-    """A memo that stores no beeping set, or only the first, gives the same runs."""
+    """Memos that store nothing, or only their first entry, give the same
+    runs: the neighbourhood memo and the round memo share the cap."""
     with mock.patch("beepsync.topology.MAX_MEMO_ENTRIES", cap):
         test_traced_selfstab_matches_per_node_reference.hypothesis.inner_test(run)
         test_untraced_selfstab_matches_per_node_reference.hypothesis.inner_test(run)
@@ -800,6 +855,18 @@ def test_selfstab_matches_reference_on_ring_100(node_bound):
     assert trace.round_count() > 4 * bound
     # a self-stabilizing run never reads the diameter, so it is never computed
     assert "diameter" not in topo.__dict__
+
+
+@pytest.mark.parametrize("n, legitimate, rounds", [(1000, 4066, 4114), (3000, 12057, 12105)])
+def test_untraced_selfstab_results_at_thousands_of_nodes(n, legitimate, rounds):
+    # random_connected at T = 12, q = 5 and a 4T window, from random configs:
+    # the results of the engine that stepped every round and kept no memo
+    topo = generate("random_connected", n, seed=0)
+    initial = random_configs(n, 12, n, sync_round_budget(n, 12, 5), seed=0)
+    result, trace = run_selfstab(topo, initial, 12, 5, stability_window=48, record_trace=False)
+    assert trace is None
+    assert (result.legitimate_round, result.rounds_run) == (legitimate, rounds)
+    assert (result.all_lock_round, result.legit_streak) == (9, 48)
 
 
 # The trace consumers as they were before they worked per column and per
