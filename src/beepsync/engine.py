@@ -27,9 +27,10 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from itertools import compress, count
-from operator import and_, attrgetter, is_not, itemgetter, ne, sub
+from itertools import compress, count, product
+from operator import and_, is_not, itemgetter, ne, sub
 from typing import Callable, Iterator
 
 from .checkpoints import CheckpointSet, compute_checkpoints, fast_runtime_bound, sync_round_budget
@@ -37,7 +38,9 @@ from .fast_protocol import (
     FastNodeConfig,
     NodeState,
     classify_beep,
-    step,  # unused here; benchmarks/tracing.py counts calls through engine.step
+    decode_config,
+    encode_config,
+    step,  # unused here; present so the patch in benchmarks/tracing.py can getattr it
 )
 from .fsm import (
     ProtocolAutomaton,
@@ -50,10 +53,10 @@ from .fsm import (
 from .selfstab import (
     StabNodeConfig,
     StabState,
-    consistency_check,  # unused here; benchmarks/tracing.py counts calls through engine.consistency_check
+    consistency_check,  # unused here; present so the patch in benchmarks/tracing.py can getattr it
     counter_threshold,
     max_round_counter,
-    stab_step,  # unused here; benchmarks/tracing.py counts calls through engine.stab_step
+    stab_step,  # unused here; present so the patch in benchmarks/tracing.py can getattr it
     validate_config,
 )
 from . import topology as _topology
@@ -129,10 +132,6 @@ class SimResult:
     quiet_lock_delay: int | None = None
 
 
-# an enum member's value; hashing it skips the Python-level Enum.__hash__
-_value = attrgetter("_value_")
-
-
 class _Memo(dict):
     """A dict that computes a missing key's value once, with ``fn``."""
 
@@ -163,23 +162,37 @@ TRACE_FIELDS = (
 class FastTrace:
     """Normalized per-round snapshots of a fast-protocol run.
 
-    Index [t][v] gives node v at the beginning of normalized round t. Node v
-    beeps in round t exactly when ``states[t][v]`` is ``NodeState.BEEP``, and
-    takes the induced jump during round t (its induced beep happens in round
-    t+1) exactly when its counter steps by 2 from round t to round t+1.
+    Index [t][v] gives node v at the beginning of normalized round t: its
+    config's ``encode_config`` code, which ``config_at`` decodes, and its
+    virtual counter, None while the node is inactive. Node v beeps in round
+    t exactly when its config's state is ``NodeState.BEEP``, and takes the
+    induced jump during round t (its induced beep happens in round t+1)
+    exactly when its counter steps by 2 from round t to round t+1.
     """
 
     topology: Topology
     period: int
     spacing: int
     activation_round: list[int | None]
-    clocks: list[list[int]]
-    states: list[list[NodeState]]
-    induced: list[list[bool]]
+    codes: list[list[int]]
     counters: list[list[int | None]]
 
     def round_count(self) -> int:
-        return len(self.clocks)
+        return len(self.codes)
+
+    def config_at(self, t: int, v: int) -> FastNodeConfig:
+        return decode_config(self.codes[t][v], self.period)
+
+
+@lru_cache(maxsize=64)
+def _fast_codes(period: int) -> tuple[dict[int, FastNodeConfig], dict[int, int], frozenset[int]]:
+    """Decodes every fast config code at ``period``, reachable or not: each
+    code's config and clock, and the codes whose config beeps."""
+    every = [FastNodeConfig(*f) for f in product(range(period), NodeState, (False, True))]
+    configs = {encode_config(c, period): c for c in every}
+    clock_of = {code: c.clock for code, c in configs.items()}
+    beeping = frozenset(code for code, c in configs.items() if c.state is NodeState.BEEP)
+    return configs, clock_of, beeping
 
 
 @dataclass
@@ -211,7 +224,7 @@ class StabTrace:
 
 
 # The most node-round cells a trace may hold. With its checks a fast trace
-# takes about 81 bytes a cell (ring-1000 run-fast at T=8: 4.0M cells, 310 MiB
+# takes about 35 bytes a cell (ring-1000 run-fast at T=8: 4.0M cells, 133 MiB
 # tracemalloc peak), a self-stab trace about 18 (ring-300, T=12: 1.8M, 30.5 MiB).
 MAX_TRACE_CELLS = 1 << 22
 
@@ -248,8 +261,10 @@ def run_fast(
     """Simulates the fast protocol and reports the synchronization round.
 
     The run steps the protocol's transition table (``extract_fast_automaton``)
-    on node bitsets, one set per occupied config. A traced run decodes each
-    round's sets into that round's trace row before it steps the next.
+    on node bitsets, one set per occupied config. A traced run turns each
+    round's sets into that round's row of config codes, one
+    ``encode_config`` code per table id, before it steps the next; its
+    counter rows share one int object per counter value.
 
     Args:
         topology: Connected graph to run on.
@@ -281,21 +296,25 @@ def run_fast(
     configs = table.labels
     clock_of = table.clock_of
     beeps = table.beeps
-    state_of = [c.state for c in configs]
-    induced_of = [c.induced for c in configs]
+    code_of = [encode_config(c, period) for c in configs]
     # a listener whose heard-beep successor beeps takes the induced jump
     induces = [
         c.state is NodeState.LISTEN and beeps[table.beep_next[s]]
         for s, c in enumerate(configs)
     ]
     activation_round: list[int | None] = [None] * n
-    jumps = [0] * n
+    # node v's counter in round t is t - base[v]: its activation round less
+    # its induced jumps so far
+    base: list[int | None] = [None] * n
     trace = FastTrace(
         topology=topology, period=period, spacing=spacing,
-        activation_round=activation_round, clocks=[], states=[], induced=[], counters=[],
+        activation_round=activation_round, codes=[], counters=[],
     )
     nodes = range(n)
     pending = (1 << n) - 1
+    # one int object per counter value, shared by every trace cell; a
+    # counter is at most 2t in round t
+    counters: list[int] = []
 
     masks = {0: (1 << n) - 1}
     sync_round: int | None = None
@@ -310,19 +329,15 @@ def run_fast(
                     jumped |= m & heard
             if jumped:
                 for v in compress(nodes, bit_flags(jumped)):
-                    jumps[v] += 1
+                    base[v] -= 1
             activated = pending & ~masks.get(0, 0)
             if activated:
                 for v in compress(nodes, bit_flags(activated)):
-                    activation_round[v] = t
+                    activation_round[v] = base[v] = t
                 pending ^= activated
-            ids = decode_masks(masks, n)
-            trace.clocks.append([clock_of[s] for s in ids])
-            trace.states.append([state_of[s] for s in ids])
-            trace.induced.append([induced_of[s] for s in ids])
-            trace.counters.append(
-                [None if a is None else t - a + j for a, j in zip(activation_round, jumps)]
-            )
+            counters += range(len(counters), 2 * t + 1)
+            trace.codes.append(list(map(code_of.__getitem__, decode_masks(masks, n))))
+            trace.counters.append([None if b is None else counters[t - b] for b in base])
         if sync_round is None and 0 not in masks and len({clock_of[s] for s in masks}) == 1:
             sync_round = t
             if not record_trace:
@@ -368,15 +383,21 @@ def check_closure(trace: FastTrace, sync_round: int, period: int, window: int) -
     if last >= trace.round_count():
         raise ValueError(f"trace has {trace.round_count()} rounds, window needs {last + 1}")
     n = trace.topology.node_count
+    _, clock_of, beeping = _fast_codes(trace.period)
     last_bad = None
     for t in range(sync_round, last + 1):
-        clocks = trace.clocks[t]
-        first = clocks[0]
+        codes = trace.codes[t]
         # a counter is None exactly while its node is inactive
-        if None in trace.counters[t] or clocks.count(first) != n:
+        if None in trace.counters[t]:
+            return False
+        first = codes[0]
+        distinct = (first,) if codes.count(first) == n else set(codes)
+        if len(distinct) > 1 and len({clock_of[c] for c in distinct}) > 1:
             return False
         # all clocks are equal now, so every node must beep iff it is at 0
-        if t > sync_round and trace.states[t].count(NodeState.BEEP) != (n if first == 0 else 0):
+        if t > sync_round and not (
+            beeping.issuperset(distinct) if clock_of[first] == 0 else beeping.isdisjoint(distinct)
+        ):
             last_bad = t
     return last_bad is None or last_bad <= sync_round + period + 1
 
@@ -408,42 +429,40 @@ def check_invariants(trace: FastTrace, checkpoints: CheckpointSet) -> list[Viola
     # node v is active from round start[v] on; every node from round everyone
     start = [rounds if a is None else a for a in act]
     everyone = max(start, default=0)
-    beat = _Memo(checkpoints.may_beep)
-    beep = NodeState.BEEP
+    _, clock_of, beeping = _fast_codes(trace.period)
+    off_beat = {code for code in beeping if not checkpoints.may_beep(clock_of[code])}
 
-    on_rows: list[Violation] = []  # C1 and C3
-    peaks: list[int | None] = []
-    for t in range(rounds):
-        clocks = trace.clocks[t]
-        states = trace.states[t]
-        counters = counter_rows[t]
-        if t >= everyone:
-            live = nodes
-        else:
-            flags = [s <= t for s in start]
-            live = list(compress(nodes, flags))
-            clocks, states, counters = (
-                list(compress(row, flags)) for row in (clocks, states, counters)
+    columns = list(zip(*counter_rows)) if rounds else [()] * n
+    peaks: list[int | None] = [
+        max(compress(row, [s <= t for s in start]), default=None)
+        for t, row in enumerate(counter_rows[:everyone])
+    ]
+    peaks += map(max, counter_rows[everyone:])
+
+    # C1 and C3 on each column from its node's activation on; the code
+    # columns are made one at a time
+    on_cells: list[tuple[int, int, str, str]] = []
+    for v, (codes, column) in enumerate(zip(zip(*trace.codes), columns)):
+        s = start[v]
+        codes, column = codes[s:], column[s:]
+        clocks = list(map(clock_of.__getitem__, codes))
+        expected = [(1 + c) % period for c in column]
+        if clocks != expected:
+            on_cells += (
+                (s + i, v, "C1", f"clock {clocks[i]} != 1 + counter {column[i]} mod {period}")
+                for i in compress(count(), map(ne, clocks, expected))
             )
-        peaks.append(max(counters, default=None))
-        if [(1 + c) % period for c in counters] == clocks and (
-            beep not in states or all(beat[k] for k, s in zip(clocks, states) if s is beep)
-        ):
-            continue
-        for v, clock, state, counter in zip(live, clocks, states, counters):
-            if (1 + counter) % period != clock:
-                on_rows.append(
-                    Violation("C1", t, v, f"clock {clock} != 1 + counter {counter} mod {period}")
-                )
-            if state is beep and not beat[clock]:
-                on_rows.append(
-                    Violation("C3", t, v, f"beep at clock {clock} off checkpoint structure")
-                )
+        if not off_beat.isdisjoint(codes):
+            on_cells += (
+                (s + i, v, "C3", f"beep at clock {clocks[i]} off checkpoint structure")
+                for i in compress(count(), map(off_beat.__contains__, codes))
+            )
+    on_cells.sort()
+    on_rows = [Violation(check, t, v, detail) for t, v, check, detail in on_cells]
 
     # C2 on each column's counter steps; a step other than 1 is also the only
     # place where the gap between two neighbours' counters can change (C5),
     # and a step of 2 is an induced jump (C4)
-    columns = list(zip(*counter_rows)) if rounds else [()] * n
     bad_steps: list[tuple[int, int, int]] = []
     jumps: list[tuple[int, int]] = []
     moved: list[list[int]] = []
@@ -464,7 +483,7 @@ def check_invariants(trace: FastTrace, checkpoints: CheckpointSet) -> list[Viola
         Violation("C4", t, v, f"induced by node {w} at counters {columns[v][t]}/{columns[w][t]}")
         for t, v in sorted(jumps)
         for w in neighbors[v]
-        if trace.states[t][w] is beep and start[w] <= t
+        if trace.codes[t][w] in beeping and start[w] <= t
         and columns[v][t] - columns[w][t] in (0, 1)
     ]
 
@@ -832,9 +851,9 @@ def _export_rounds(
     A fragment is ``render`` applied to a row's fields from ``clock`` to
     ``beep_class``. It is rendered once and cached, not once per row: per
     distinct (id, r) of a self-stab trace, whose other fields are the stab
-    table's columns at the id, and per distinct (clock, state, induced) of a
-    fast trace and whether the node activated in that round, on which its
-    beep class depends.
+    table's columns at the id, and per distinct config code of a fast trace
+    and whether the node activated in that round, on which its beep class
+    depends.
     """
     rounds = range(trace.round_count())
     if isinstance(trace, StabTrace):
@@ -848,15 +867,16 @@ def _export_rounds(
             yield t, map(stab.__getitem__, zip(trace.ids[t], trace.round_counter[t])), none
         return
     cps = compute_checkpoints(trace.period, trace.spacing)
+    configs = _fast_codes(trace.period)[0]
 
     def fields(key: tuple) -> tuple:
-        clock, state, induced, just_activated = key
-        beeping = state == NodeState.BEEP.value
+        code, just_activated = key
+        config = configs[code]
+        beeping = config.state is NodeState.BEEP
         beep_class = None
         if beeping:
-            config = FastNodeConfig(clock, NodeState(state), induced)
             beep_class = classify_beep(config, cps, just_activated=just_activated).value
-        return clock, state, induced, None, None, beeping, beep_class
+        return config.clock, config.state.value, config.induced, None, None, beeping, beep_class
 
     fast = _Memo(lambda key: render(fields(key)))
     quiet = [False] * trace.topology.node_count
@@ -865,9 +885,7 @@ def _export_rounds(
         if t is not None:
             joined.setdefault(t, quiet.copy())[v] = True
     for t in rounds:
-        keys = zip(
-            trace.clocks[t], map(_value, trace.states[t]), trace.induced[t], joined.get(t, quiet),
-        )
+        keys = zip(trace.codes[t], joined.get(t, quiet))
         yield t, map(fast.__getitem__, keys), trace.counters[t]
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from .engine import ActivationSchedule, SimResult, fast_setup
 from .fast_protocol import (
     NodeState,
-    step,  # unused here; benchmarks/tracing.py counts calls through slots.step
+    step,  # unused here; present so the patch in benchmarks/tracing.py can getattr it
 )
 from .topology import Topology
 

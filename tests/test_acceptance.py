@@ -383,9 +383,10 @@ def test_criterion_09_slot_model():
         t = rec.slot_index - 1
         if t >= trace.round_count():
             continue
-        if rec.clock != trace.clocks[t][rec.node]:
+        config = trace.config_at(t, rec.node)
+        if rec.clock != config.clock:
             exact = False
-        if rec.state != trace.states[t][rec.node]:
+        if rec.state != config.state:
             exact = False
     ok = sync_ok and aligned and zero_ok and exact
     report(

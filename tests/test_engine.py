@@ -1,5 +1,6 @@
 import copy
 import csv
+import hashlib
 import json
 from dataclasses import fields, replace
 from unittest import mock
@@ -44,6 +45,7 @@ from beepsync.fast_protocol import (
     FastNodeConfig,
     NodeState,
     classify_beep,
+    encode_config,
     step,
     will_beep,
 )
@@ -95,8 +97,7 @@ def test_round_normalization_shift_invariant():
     base, trace0 = run_fast(topo, single_source_schedule(0, 0), 7, horizon=30)
     late, trace5 = run_fast(topo, single_source_schedule(0, 5), 7, horizon=30)
     assert base.sync_round == late.sync_round == 21
-    assert trace0.clocks == trace5.clocks
-    assert trace0.states == trace5.states
+    assert trace0.codes == trace5.codes
 
 
 def test_runs_are_reproducible():
@@ -105,7 +106,7 @@ def test_runs_are_reproducible():
     r1, t1 = run_fast(topo, sched, 11)
     r2, t2 = run_fast(topo, sched, 11)
     assert r1.sync_round == r2.sync_round
-    assert t1.clocks == t2.clocks
+    assert t1.codes == t2.codes
     assert t1.counters == t2.counters
 
 
@@ -113,7 +114,7 @@ def test_all_clocks_equal_from_sync_round():
     result, trace = run_fast(generate("line", 4), single_source_schedule(0), 7, horizon=40)
     s = result.sync_round
     for t in range(s, trace.round_count()):
-        assert len(set(trace.clocks[t])) == 1
+        assert len({trace.config_at(t, v).clock for v in range(4)}) == 1
 
 
 def test_invariant_checker_clean_on_reference_runs():
@@ -139,7 +140,7 @@ def test_invariant_checker_flags_clock_counter_mismatch():
     cps = compute_checkpoints(7, 4)
     _, trace = run_fast(generate("line", 4), single_source_schedule(0), 7, horizon=30)
     bad = copy.deepcopy(trace)
-    bad.clocks[25][1] = (bad.clocks[25][1] + 3) % 7
+    _set_fast_cell(bad, 25, 1, clock=(bad.config_at(25, 1).clock + 3) % 7)
     checks = {v.check for v in check_invariants(bad, cps)}
     assert "C1" in checks
 
@@ -162,12 +163,12 @@ def test_closure_fails_on_corruption():
     result, trace = run_fast(generate("line", 4), single_source_schedule(0), 7, horizon=60)
     s = result.sync_round
     drifted = copy.deepcopy(trace)
-    drifted.clocks[s + 3][0] = (drifted.clocks[s + 3][0] + 1) % 7
+    _set_fast_cell(drifted, s + 3, 0, clock=(drifted.config_at(s + 3, 0).clock + 1) % 7)
     assert not check_closure(drifted, s, 7, window=14)
     noisy = copy.deepcopy(trace)
     t = s + 10
-    assert noisy.clocks[t][2] != 0
-    noisy.states[t][2] = NodeState.BEEP
+    assert noisy.config_at(t, 2).clock != 0
+    _set_fast_cell(noisy, t, 2, state=NodeState.BEEP)
     assert not check_closure(noisy, s, 7, window=14)
 
 
@@ -372,9 +373,7 @@ def _reference_run_fast(topology, schedule, period, spacing=4, horizon=None, rec
     activation_round: list[int | None] = [None] * n
     sync_round: int | None = None
 
-    clocks_rows: list[list[int]] = []
-    states_rows: list[list[NodeState]] = []
-    induced_rows: list[list[bool]] = []
+    code_rows: list[list[int]] = []
     beeped_rows: list[list[bool]] = []
     counter_rows: list[list[int | None]] = []
     event_rows: list[list[bool]] = []
@@ -406,9 +405,7 @@ def _reference_run_fast(topology, schedule, period, spacing=4, horizon=None, rec
         if raw > offset and record_trace:
             event_rows.append(events)
         if record_trace:
-            clocks_rows.append([c.clock for c in configs])
-            states_rows.append([c.state for c in configs])
-            induced_rows.append([c.induced for c in configs])
+            code_rows.append([encode_config(c, period) for c in configs])
             beeped_rows.append([will_beep(c) for c in configs])
             counter_rows.append(counters.copy())
         if sync_round is None and all(r is not None for r in activation_round):
@@ -423,9 +420,7 @@ def _reference_run_fast(topology, schedule, period, spacing=4, horizon=None, rec
             period=period,
             spacing=spacing,
             activation_round=activation_round,
-            clocks=clocks_rows,
-            states=states_rows,
-            induced=induced_rows,
+            codes=code_rows,
             counters=counter_rows,
         )
     result = SimResult(
@@ -464,7 +459,10 @@ def test_traced_run_matches_per_node_reference(run):
     for f in fields(FastTrace):
         assert getattr(trace, f.name) == getattr(expected_trace, f.name), f.name
     # a trace keeps a beep as the beep state, an induced jump as a counter step of 2
-    assert beeped == [[s is NodeState.BEEP for s in row] for row in trace.states]
+    assert beeped == [
+        [trace.config_at(t, v).state is NodeState.BEEP for v in range(len(row))]
+        for t, row in enumerate(trace.codes)
+    ]
     counters = trace.counters
     assert events == [
         [c is not None and d - c == 2 for c, d in zip(now, after)]
@@ -869,6 +867,31 @@ def test_untraced_selfstab_results_at_thousands_of_nodes(n, legitimate, rounds):
     assert (result.all_lock_round, result.legit_streak) == (9, 48)
 
 
+def _sha256(path):
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def test_traced_ring_500_run_and_exports(tmp_path):
+    # one wake on ring-500 at T = 8 (1,016,500 cells): the export digests
+    # are those of the engine whose trace kept clock, state and induced rows
+    result, trace = run_fast(generate("ring", 500), single_source_schedule(0), 8)
+    assert (result.sync_round, result.bound, result.horizon) == (1000, 1000, 2032)
+    assert result.closure_verified
+    assert check_invariants(trace, compute_checkpoints(8, 4)) == []
+    path = tmp_path / "trace.out"
+    for write, digest in (
+        (write_trace_csv, "be9bb31e4d07a98c46b739947f3a0994847a2a25382a701a433163f5662615b9"),
+        (write_trace_jsonl, "267ab25bceca26b1113cd8d8b53604d00109002e007cd824b0abe3654657a60e"),
+    ):
+        write(trace, str(path))
+        assert _sha256(path) == digest, write.__name__
+    path.unlink()
+
+
 # The trace consumers as they were before they worked per column and per
 # distinct config: the bodies are kept verbatim as references.
 
@@ -879,19 +902,19 @@ def _reference_fast_rows(trace):
     cps = compute_checkpoints(trace.period, trace.spacing)
     for t in range(trace.round_count()):
         for v in range(trace.topology.node_count):
-            beeped = trace.states[t][v] is NodeState.BEEP
+            config = trace.config_at(t, v)
+            beeped = config.state is NodeState.BEEP
             beep_class = None
             if beeped:
-                config = FastNodeConfig(trace.clocks[t][v], trace.states[t][v], trace.induced[t][v])
                 beep_class = classify_beep(
                     config, cps, just_activated=trace.activation_round[v] == t
                 ).value
             yield {
                 "round": t,
                 "node": v,
-                "clock": trace.clocks[t][v],
-                "state": trace.states[t][v].value,
-                "induced": trace.induced[t][v],
+                "clock": config.clock,
+                "state": config.state.value,
+                "induced": config.induced,
                 "r": None,
                 "b": None,
                 "beeped": beeped,
@@ -954,13 +977,13 @@ def _reference_check_closure(trace, sync_round, period, window):
     act = trace.activation_round
     last_bad = None
     for t in range(sync_round, last + 1):
-        clocks = trace.clocks[t]
+        clocks = [trace.config_at(t, v).clock for v in range(n)]
         first = clocks[0]
         for v in range(n):
             if act[v] is None or act[v] > t or clocks[v] != first:
                 return False
         if t > sync_round:
-            states = trace.states[t]
+            states = [trace.config_at(t, v).state for v in range(n)]
             for v in range(n):
                 if (states[v] is NodeState.BEEP) != (clocks[v] == 0):
                     last_bad = t
@@ -982,8 +1005,8 @@ def _reference_check_invariants(trace, checkpoints):
         return a is not None and a <= t
 
     for t in range(rounds):
-        clocks = trace.clocks[t]
-        states = trace.states[t]
+        clocks = [trace.config_at(t, v).clock for v in range(n)]
+        states = [trace.config_at(t, v).state for v in range(n)]
         counters = trace.counters[t]
         for v in range(n):
             if not active(v, t):
@@ -1008,7 +1031,7 @@ def _reference_check_invariants(trace, checkpoints):
                     violations.append(Violation("C2", t, v, f"counter advanced by {advance}"))
 
     for t in range(rounds - 1):
-        states = trace.states[t]
+        states = [trace.config_at(t, v).state for v in range(n)]
         counters = trace.counters[t]
         after = trace.counters[t + 1]
         for v in range(n):
@@ -1194,10 +1217,13 @@ def test_fast_checkers_and_export_match_reference(export_dir, run, data):
     topo, schedule, period, spacing, horizon = run
     result, trace = run_fast(*run)
     top = trace.round_count() + 2 * period
+    # every code that decodes: the clock x state x induced product
+    codes = sorted(
+        encode_config(FastNodeConfig(clock, state, induced), period)
+        for clock in range(period) for state in NodeState for induced in (False, True)
+    )
     bad = _mutate(data, trace, {
-        "clocks": lambda c: st.integers(0, period - 1),
-        "states": lambda s: st.sampled_from(NodeState),
-        "induced": lambda b: st.booleans(),
+        "codes": lambda c: st.sampled_from(codes),
         "counters": lambda c: _near(c, top),
     })
     if data.draw(st.booleans()):
@@ -1268,14 +1294,20 @@ def line_trace():
     return copy.deepcopy(trace)
 
 
+def _set_fast_cell(trace, t, v, **changes):
+    """Sets node v's round-t code to the code of its config with ``changes``."""
+    config = replace(trace.config_at(t, v), **changes)
+    trace.codes[t][v] = encode_config(config, trace.period)
+
+
 def _set_counter(trace, t, v, counter):
     trace.counters[t][v] = counter
-    trace.clocks[t][v] = (1 + counter) % trace.period
+    _set_fast_cell(trace, t, v, clock=(1 + counter) % trace.period)
 
 
 def test_injected_c3_beep_off_checkpoint(line_trace):
-    assert line_trace.clocks[24][1] == 4
-    line_trace.states[24][1] = NodeState.BEEP
+    assert line_trace.config_at(24, 1).clock == 4
+    _set_fast_cell(line_trace, 24, 1, state=NodeState.BEEP)
     cps = compute_checkpoints(7, 4)
     _flagged("C3", check_invariants, _reference_check_invariants, line_trace, cps)
 
@@ -1283,7 +1315,7 @@ def test_injected_c3_beep_off_checkpoint(line_trace):
 def test_injected_c4_induced_by_counter_neighbor(line_trace):
     # node 2 beeps at counter 7 while listening node 1 sits at counter 8 and
     # jumps to 10
-    assert line_trace.states[8][2] is NodeState.BEEP
+    assert line_trace.config_at(8, 2).state is NodeState.BEEP
     assert line_trace.counters[8][1:3] == [8, 7] and line_trace.counters[9][1] == 9
     _set_counter(line_trace, 9, 1, 10)
     cps = compute_checkpoints(7, 4)
@@ -1294,7 +1326,7 @@ def test_injected_c4_induced_by_activation_beep(line_trace):
     # node 1 activates in round 1 and beeps at counter 0 beside node 0 at 1,
     # which jumps to 3
     assert line_trace.activation_round[1] == 1 and line_trace.counters[1][:2] == [1, 0]
-    assert line_trace.states[1][1] is NodeState.BEEP and line_trace.counters[2][0] == 2
+    assert line_trace.config_at(1, 1).state is NodeState.BEEP and line_trace.counters[2][0] == 2
     _set_counter(line_trace, 2, 0, 3)
     cps = compute_checkpoints(7, 4)
     _flagged("C4", check_invariants, _reference_check_invariants, line_trace, cps)

@@ -114,8 +114,9 @@ def test_zero_offsets_match_synchronous_engine():
             t = r.slot_index - 1
             if t >= trace.round_count():
                 break
-            assert r.clock == trace.clocks[t][node]
-            assert r.state == trace.states[t][node]
+            config = trace.config_at(t, node)
+            assert r.clock == config.clock
+            assert r.state == config.state
             assert r.start_time == pytest.approx(float(r.slot_index), abs=TOL)
 
 
@@ -130,8 +131,9 @@ def test_zero_offsets_match_with_delayed_wake():
             t = r.slot_index - shift
             if t < 0 or t >= trace.round_count():
                 continue
-            assert r.clock == trace.clocks[t][node]
-            assert r.state == trace.states[t][node]
+            config = trace.config_at(t, node)
+            assert r.clock == config.clock
+            assert r.state == config.state
 
 
 def test_input_validation():
