@@ -195,6 +195,19 @@ def _fast_codes(period: int) -> tuple[dict[int, FastNodeConfig], dict[int, int],
     return configs, clock_of, beeping
 
 
+@lru_cache(maxsize=64)
+def _fast_trace_columns(period: int, spacing: int) -> tuple[tuple[int, ...], tuple[bool, ...]]:
+    """Per fast table id, what a traced run reads: its config's
+    ``encode_config`` code, and whether a listener there takes the induced
+    jump, that is, whether its heard-beep successor beeps."""
+    table = extract_fast_automaton(period, spacing)
+    beeps = table.beeps
+    return tuple(encode_config(c, period) for c in table.labels), tuple(
+        c.state is NodeState.LISTEN and beeps[table.beep_next[s]]
+        for s, c in enumerate(table.labels)
+    )
+
+
 @dataclass
 class StabTrace:
     """Per-round snapshots of a self-stabilizing run (configs before repair).
@@ -293,15 +306,9 @@ def run_fast(
     for node, rnd in schedule.wake_round.items():
         woken[rnd - offset] = woken.get(rnd - offset, 0) | 1 << node
     neighborhood = topology.neighborhood_for_run()
-    configs = table.labels
     clock_of = table.clock_of
-    beeps = table.beeps
-    code_of = [encode_config(c, period) for c in configs]
-    # a listener whose heard-beep successor beeps takes the induced jump
-    induces = [
-        c.state is NodeState.LISTEN and beeps[table.beep_next[s]]
-        for s, c in enumerate(configs)
-    ]
+    if record_trace:
+        code_of, induces = _fast_trace_columns(period, spacing)
     activation_round: list[int | None] = [None] * n
     # node v's counter in round t is t - base[v]: its activation round less
     # its induced jumps so far
